@@ -51,25 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _suite_config(args, scenario: str):
-    if args.config is not None:
-        cfg = load_config(args.config, out_dir=args.out)
-        if cfg.scenario != scenario:
-            raise ConfigError(f"config is for scenario {cfg.scenario!r}, command was {scenario!r}")
-    else:
-        cfg = default_config(scenario, out_dir=args.out)
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.seeds = []
-        cfg.__post_init__()
-    if args.trials is not None:
-        cfg.trials = args.trials
-        cfg.seeds = []
-        cfg.__post_init__()
-    if args.steps is not None:
-        cfg.n_steps = args.steps
-    if args.out is not None:
-        cfg.out_dir = args.out
+def _config(args, scenario: str, **overrides):
+    """`--config` (or the built-in defaults) with the given command-line values as overrides."""
+    overrides = {k: str(v) if isinstance(v, Path) else v for k, v in overrides.items() if v is not None}
+    if args.config is None:
+        return default_config(scenario, overrides=overrides)
+    cfg = load_config(args.config, overrides=overrides)
+    if cfg.scenario != scenario:
+        raise ConfigError(f"scenario: config is for {cfg.scenario!r}, command needs {scenario!r}")
     return cfg
 
 
@@ -77,7 +66,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command in ("linreg", "dnn", "rover"):
-            cfg = _suite_config(args, args.command)
+            cfg = _config(args, args.command, seed=args.seed, trials=args.trials, n_steps=args.steps, out_dir=args.out)
             report = run_suite(cfg)
             for policy in POLICY_ORDER:
                 if policy in report.aggregates:
@@ -92,15 +81,7 @@ def main(argv=None) -> int:
                     return 3
                 print("check passed")
         elif args.command == "calibrate":
-            if args.config is not None:
-                cfg = load_config(args.config)
-            else:
-                cfg = default_config("rover")
-            if args.seed is not None:
-                cfg.seed = args.seed
-                cfg.seeds = []
-                cfg.__post_init__()
-            artifacts = calibrate(cfg, out_path=args.out)
+            artifacts = calibrate(_config(args, "rover", seed=args.seed), out_path=args.out)
             for art in artifacts:
                 eps = art["epsilon"]
                 eps_text = f"{eps:.6g}" if eps is not None else "n/a"

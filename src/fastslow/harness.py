@@ -16,7 +16,7 @@ import numpy as np
 
 from . import charts
 from .dnnproxy import ProbabilisticBound, expected_loss_bound_dnn, make_proxy_pair
-from .linreg import InputDistribution, generate_coreset_pair, loss_bound_lr, loss_l2
+from .linreg import InputDistribution, bound_scale_lr, generate_coreset_pair, loss_bound_lr, loss_l2
 from .policy import (
     BoundThresholdPolicy,
     CostSchedule,
@@ -27,33 +27,19 @@ from .policy import (
     SlowOnlyPolicy,
     run_episode,
 )
-from .rover import RoverScenario, calibrate_scenario, load_scenario, run_navigation
-from .seeding import derive_seed, rng_for
+from .rover import AUG_DIM, RoverScenario, calibrate_scenario, load_scenario, run_navigation
+from .schema import ConfigError, merge
+from .seeding import CALIB_SEED_TAG, INPUT_TAG, LR_CALIB_TAG, PAIR_TAG, RANDOM_TAG, derive_seed, rng_for
 
 SCHEMA_VERSION = 1
 SCENARIOS = ("linreg", "dnn", "rover")
 POLICY_ORDER = ("fast", "slow", "random", "our_selector", "oracle")
 METRICS = ("cumulative_reward", "total_cost", "mean_loss", "slow_query_fraction")
 
-_PAIR_TAG, _INPUT_TAG, _RANDOM_TAG, _CALIB_SEED_TAG = 11, 12, 13, 14
+# Calibration inputs per linreg trial, drawn apart from the trial's inputs.
+LR_CALIBRATION_INPUTS = 1000
 
 BUILTIN_MAPS = ("obstacle_free", "obstacle_adjacent")
-
-
-class ConfigError(Exception):
-    """Configuration could not be read or validated; message carries the
-    field or line at fault."""
-
-
-def _field(d: dict, key: str, kind, default=None, ctx: str = "config"):
-    if key not in d:
-        if default is not None:
-            return default
-        raise ConfigError(f"{ctx}: missing required field {key!r}")
-    try:
-        return kind(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{ctx}: field {key!r}: {exc}") from exc
 
 
 DEFAULTS: dict[str, dict] = {
@@ -107,72 +93,82 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    scenario: str
-    seed: int
-    trials: int
-    n_steps: int
-    out_dir: Path
-    weights: RewardWeights | None
-    costs: CostSchedule | None
-    block: dict
-    seeds: list[int] = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.scenario != "rover" and self.n_steps < 0:
-            raise ConfigError("n_steps must be >= 0")
-        if not self.seeds:
-            self.seeds = [derive_seed(self.seed, i) for i in range(self.trials)]
-        if len(self.seeds) != self.trials:
-            raise ConfigError(f"got {len(self.seeds)} explicit seeds for {self.trials} trials")
-
-    def digest(self) -> str:
-        basis = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "trials": self.trials,
-            "n_steps": self.n_steps,
-            "block": self.block,
-        }
-        return hashlib.sha256(json.dumps(basis, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def config_from_dict(raw: dict, out_dir: Path | None = None, base_dir: Path | None = None) -> ExperimentConfig:
-    scenario = _field(raw, "scenario", str)
+def normalize(raw: dict, overrides: dict | None = None) -> dict:
+    """`raw` with `overrides` applied, deep-merged over its scenario's DEFAULTS
+    and checked. `weights` and `costs` must be given in full. A `seed` or
+    `trials` override drops explicit `seeds`; absent seeds are derived, so the
+    result holds every value a run depends on."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: expected an object, got {raw!r}")
+    overrides = overrides or {}
+    raw = dict(raw, **overrides)
+    if "seed" in overrides or "trials" in overrides:
+        raw.pop("seeds", None)
+    if "scenario" not in raw:
+        raise ConfigError("scenario: missing required field")
+    scenario = raw["scenario"]
     if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-    weights = costs = None
-    if scenario != "rover":
-        wd = _field(raw, "weights", dict, ctx=scenario)
-        cd = _field(raw, "costs", dict, ctx=scenario)
-        try:
-            weights = RewardWeights(float(wd["alpha"]), float(wd["beta"]))
-            costs = CostSchedule(float(cd["c_fast"]), float(cd["c_slow"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{scenario}: weights/costs: {exc}") from exc
-    block = dict(raw.get(scenario, DEFAULTS[scenario].get(scenario, {})))
-    if scenario == "rover" and base_dir is not None:
-        block.setdefault("_base_dir", str(base_dir))
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        seed=_field(raw, "seed", int, default=DEFAULTS[scenario]["seed"]),
-        trials=_field(raw, "trials", int, default=DEFAULTS[scenario]["trials"]),
-        n_steps=_field(raw, "n_steps", int, default=DEFAULTS[scenario]["n_steps"]),
-        out_dir=Path(out_dir) if out_dir is not None else Path(raw.get("out_dir", f"out/{scenario}")),
-        weights=weights,
-        costs=costs,
-        block=block,
-        seeds=[int(s) for s in raw.get("seeds", [])],
-        raw=raw,
-    )
+        raise ConfigError(f"scenario: unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+    # [0] types seeds as a list of ints; absent seeds are derived below.
+    schema = dict(DEFAULTS[scenario], seeds=[0], out_dir=f"out/{scenario}")
+    cfg = merge(schema, raw, required=("weights", "costs"))
+    if "seeds" not in raw:
+        cfg["seeds"] = [derive_seed(cfg["seed"], i) for i in range(cfg["trials"])]
+    if cfg["trials"] < 1:
+        raise ConfigError("trials: must be >= 1")
+    if len(cfg["seeds"]) != cfg["trials"]:
+        raise ConfigError(f"seeds: got {len(cfg['seeds'])} explicit seeds for {cfg['trials']} trials")
+    if scenario == "rover":
+        if cfg["n_steps"] != 0:
+            raise ConfigError("n_steps: the rover suite takes no step count; episodes run to the goal or the map's step_cap")
+        if not cfg["rover"]["maps"]:
+            raise ConfigError("rover.maps: calibration set is empty: no maps configured")
+        if cfg["rover"]["calibration_repeats"] < 1:
+            raise ConfigError("rover.calibration_repeats: must be >= 1")
     return cfg
 
 
-def load_config(path: str | Path, out_dir: Path | None = None) -> ExperimentConfig:
+@dataclass
+class ExperimentConfig:
+    """One suite run, built once from the canonical dict `normalize` returns."""
+
+    config: dict
+    weights: RewardWeights | None
+    costs: CostSchedule | None
+    base_dir: Path | None = None  # resolves relative map paths of a config file
+
+    scenario = property(lambda self: self.config["scenario"])
+    seed = property(lambda self: self.config["seed"])
+    trials = property(lambda self: self.config["trials"])
+    n_steps = property(lambda self: self.config["n_steps"])
+    seeds = property(lambda self: self.config["seeds"])
+    out_dir = property(lambda self: Path(self.config["out_dir"]))
+    block = property(lambda self: self.config[self.scenario])
+
+    def digest(self) -> str:
+        """Digest of the canonical config, every field but the output path."""
+        basis = {k: v for k, v in self.config.items() if k != "out_dir"}
+        return hashlib.sha256(json.dumps(basis, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
+
+
+def config_from_dict(
+    raw: dict, out_dir: Path | None = None, base_dir: Path | None = None, overrides: dict | None = None
+) -> ExperimentConfig:
+    """`out_dir` is shorthand for an `out_dir` override."""
+    overrides = dict(overrides or {})
+    if out_dir is not None:
+        overrides["out_dir"] = str(out_dir)
+    cfg = normalize(raw, overrides)
+    weights = costs = None
+    if cfg["scenario"] != "rover":
+        try:
+            weights, costs = RewardWeights(**cfg["weights"]), CostSchedule(**cfg["costs"])
+        except ValueError as exc:
+            raise ConfigError(f"weights/costs: {exc}") from exc
+    return ExperimentConfig(cfg, weights, costs, base_dir)
+
+
+def load_config(path: str | Path, out_dir: Path | None = None, overrides: dict | None = None) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -180,13 +176,12 @@ def load_config(path: str | Path, out_dir: Path | None = None) -> ExperimentConf
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    return config_from_dict(raw, out_dir=out_dir, base_dir=path.parent)
+    return config_from_dict(raw, out_dir=out_dir, base_dir=path.parent, overrides=overrides)
 
 
-def default_config(scenario: str, out_dir: Path | None = None) -> ExperimentConfig:
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-    return config_from_dict(dict(DEFAULTS[scenario]), out_dir=out_dir)
+def default_config(scenario: str, out_dir: Path | None = None, overrides: dict | None = None) -> ExperimentConfig:
+    raw = DEFAULTS[scenario] if scenario in DEFAULTS else {"scenario": scenario}
+    return config_from_dict(raw, out_dir=out_dir, overrides=overrides)
 
 
 def builtin_map_path(name: str) -> Path:
@@ -195,7 +190,7 @@ def builtin_map_path(name: str) -> Path:
         return Path(p)
 
 
-def resolve_map(name_or_path: str, base_dir: str | None = None) -> RoverScenario:
+def resolve_map(name_or_path: str, base_dir: Path | None = None) -> RoverScenario:
     if name_or_path in BUILTIN_MAPS:
         return load_scenario(builtin_map_path(name_or_path))
     path = Path(name_or_path)
@@ -205,7 +200,7 @@ def resolve_map(name_or_path: str, base_dir: str | None = None) -> RoverScenario
         raise ConfigError(f"rover map not found: {name_or_path}")
     try:
         return load_scenario(path)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"rover map {name_or_path}: {exc}") from exc
 
 
@@ -327,37 +322,24 @@ def _run_prediction_suite(cfg: ExperimentConfig, steps_writer, steps_file, per_t
     block = cfg.block
     for trial, trial_seed in enumerate(cfg.seeds):
         if cfg.scenario == "linreg":
-            eps = float(block["epsilon"])
+            eps = block["epsilon"]
             pair = generate_coreset_pair(
-                rng_for(trial_seed, _PAIR_TAG),
-                int(block["n_inputs"]),
-                int(block["n_outputs"]),
-                eps,
-                bias_weight=float(block.get("bias_weight", 0.1)),
+                rng_for(trial_seed, PAIR_TAG), block["n_inputs"], block["n_outputs"], eps, bias_weight=block["bias_weight"]
             )
-            dist = InputDistribution(
-                int(block["n_inputs"]), float(block["input_scale"]), seed=derive_seed(trial_seed, _INPUT_TAG)
-            )
-            inputs = dist.draw(cfg.n_steps)
+            n, scale = block["n_inputs"], block["input_scale"]
+            inputs = InputDistribution(n, scale, seed=derive_seed(trial_seed, INPUT_TAG)).draw(cfg.n_steps)
+            calib = InputDistribution(n, scale, seed=derive_seed(trial_seed, LR_CALIB_TAG)).draw(LR_CALIBRATION_INPUTS)
+            k = bound_scale_lr(pair, calib)
             make_fast = lambda: pair.fast_output
             slow_model = pair.slow
-            bound_fn = lambda y: loss_bound_lr(y, eps)
+            bound_fn = lambda y: k * loss_bound_lr(y, eps)
         else:
-            bound = ProbabilisticBound(
-                float(block["epsilon"]), float(block["delta"]), float(block["m_loss_cap"])
-            )
+            bound = ProbabilisticBound(block["epsilon"], block["delta"], block["m_loss_cap"])
             pair = make_proxy_pair(
-                rng_for(trial_seed, _PAIR_TAG),
-                int(block["n_inputs"]),
-                int(block["n_outputs"]),
-                bound,
-                n_features=int(block.get("n_features", 16)),
-                out_center=float(block.get("out_center", 1.0)),
-                out_spread=float(block.get("out_spread", 0.5)),
+                rng_for(trial_seed, PAIR_TAG), block["n_inputs"], block["n_outputs"], bound,
+                n_features=block["n_features"], out_center=block["out_center"], out_spread=block["out_spread"],
             )
-            inputs = rng_for(trial_seed, _INPUT_TAG).normal(
-                0.0, float(block.get("input_scale", 1.0)), size=(cfg.n_steps, int(block["n_inputs"]))
-            )
+            inputs = rng_for(trial_seed, INPUT_TAG).normal(0.0, block["input_scale"], size=(cfg.n_steps, block["n_inputs"]))
             make_fast = lambda: _IndexedFast(pair)
             slow_model = pair.slow_output
             bound_fn = lambda y: expected_loss_bound_dnn(y, bound)
@@ -371,7 +353,7 @@ def _run_prediction_suite(cfg: ExperimentConfig, steps_writer, steps_file, per_t
             if policy is not None:
                 policy = policy()
             elif policy_name == "random":
-                policy = RandomPolicy(derive_seed(trial_seed, _RANDOM_TAG))
+                policy = RandomPolicy(derive_seed(trial_seed, RANDOM_TAG))
             else:
                 policy = BoundThresholdPolicy(bound_fn)
             records, summary = run_episode(
@@ -407,46 +389,36 @@ def _write_reach_rows(writer, map_name, trial, policy, nav) -> None:
                 )
 
 
+def _calibrated_maps(cfg: ExperimentConfig):
+    """(scenario, calibration artifact) for each configured map, in order."""
+    repeats = cfg.block["calibration_repeats"]
+    for map_index, map_spec in enumerate(cfg.block["maps"]):
+        scn = resolve_map(map_spec, cfg.base_dir)
+        calib_seed = derive_seed(cfg.seed, CALIB_SEED_TAG, map_index)
+        calib = calibrate_scenario(scn, calib_seed, repeats=repeats)
+        provenance = {"seed": calib_seed, "repeats": repeats, "n_pairs": calib.n_pairs, "config_digest": cfg.digest()}
+        yield scn, {"map": scn.name, "mu": calib.mu, "epsilon": calib.epsilon, "provenance": provenance}
+
+
 def _run_rover_suite(
     cfg: ExperimentConfig, steps_writer, steps_file, out: Path, per_trial: list[dict], calibrations: list[dict]
 ) -> None:
-    block = cfg.block
-    base_dir = block.get("_base_dir")
-    map_specs = block.get("maps", list(BUILTIN_MAPS))
-    repeats = int(block.get("calibration_repeats", 2))
-
     traj_path = out / "trajectories.csv"
     reach_path = out / "reach_sets.csv"
     with traj_path.open("w", newline="") as tf, reach_path.open("w", newline="") as rf:
         traj_writer = csv.writer(tf)
         traj_writer.writerow(["map", "trial", "policy", "t", "x", "y", "yaw", "v", "action", "loss", "reward"])
         reach_writer = csv.writer(rf)
-        dim = 6
         reach_writer.writerow(
             ["map", "trial", "policy", "t", "model", "k"]
-            + [f"lo{i}" for i in range(dim)]
-            + [f"hi{i}" for i in range(dim)]
+            + [f"lo{i}" for i in range(AUG_DIM)]
+            + [f"hi{i}" for i in range(AUG_DIM)]
         )
-        for map_index, map_spec in enumerate(map_specs):
-            scn = resolve_map(str(map_spec), base_dir)
-            calib_seed = derive_seed(cfg.seed, _CALIB_SEED_TAG, map_index)
-            calib = calibrate_scenario(scn, calib_seed, repeats=repeats)
-            calibrations.append(
-                {
-                    "map": scn.name,
-                    "mu": calib.mu,
-                    "epsilon": calib.epsilon,
-                    "provenance": {
-                        "seed": calib_seed,
-                        "repeats": repeats,
-                        "n_pairs": calib.n_pairs,
-                        "config_digest": cfg.digest(),
-                    },
-                }
-            )
+        for scn, artifact in _calibrated_maps(cfg):
+            calibrations.append(artifact)
             for trial, trial_seed in enumerate(cfg.seeds):
                 for policy_name in POLICY_ORDER:
-                    nav = run_navigation(scn, policy_name, trial_seed, bloat_mu=calib.mu)
+                    nav = run_navigation(scn, policy_name, trial_seed, bloat_mu=artifact["mu"])
                     _write_step_rows(steps_writer, scn.name, trial, policy_name, nav.records)
                     _write_trajectory_rows(traj_writer, scn.name, trial, policy_name, nav)
                     if trial == 0:
@@ -484,17 +456,9 @@ def run_suite(cfg: ExperimentConfig) -> ComparisonReport:
         except KeyboardInterrupt:
             # flush what completed; the partial summary is still well-formed
             interrupted = True
-    config_echo = {
-        "scenario": cfg.scenario,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "n_steps": cfg.n_steps,
-        "block": {k: v for k, v in cfg.block.items() if not k.startswith("_")},
-        "digest": cfg.digest(),
-    }
-    if cfg.weights is not None:
-        config_echo["weights"] = {"alpha": cfg.weights.alpha, "beta": cfg.weights.beta}
-        config_echo["costs"] = {"c_fast": cfg.costs.c_fast, "c_slow": cfg.costs.c_slow}
+    echoed = ("scenario", "seed", "trials", "n_steps", "weights", "costs")
+    config_echo = {k: v for k, v in cfg.config.items() if k in echoed}
+    config_echo.update(block=cfg.block, digest=cfg.digest())
     if interrupted:
         config_echo["partial"] = True
     report = ComparisonReport(
@@ -567,29 +531,8 @@ def calibrate(cfg: ExperimentConfig, out_path: Path | None = None) -> list[dict]
     provenance) per map."""
     if cfg.scenario != "rover":
         raise ConfigError("calibrate applies to rover configs only")
-    block = cfg.block
-    map_specs = block.get("maps", list(BUILTIN_MAPS))
-    if not map_specs:
-        raise ConfigError("calibration set is empty: no maps configured")
-    repeats = int(block.get("calibration_repeats", 2))
-    artifacts = []
-    for map_index, map_spec in enumerate(map_specs):
-        scn = resolve_map(str(map_spec), block.get("_base_dir"))
-        calib_seed = derive_seed(cfg.seed, _CALIB_SEED_TAG, map_index)
-        calib = calibrate_scenario(scn, calib_seed, repeats=repeats)
-        artifacts.append(
-            {
-                "map": scn.name,
-                "mu": calib.mu,
-                "epsilon": calib.epsilon,
-                "provenance": {
-                    "seed": calib_seed,
-                    "repeats": repeats,
-                    "n_pairs": calib.n_pairs,
-                    "config_digest": cfg.digest(),
-                },
-            }
-        )
+    normalize(cfg.config)  # the block may have changed since cfg was built
+    artifacts = [artifact for _, artifact in _calibrated_maps(cfg)]
     if out_path is not None:
         Path(out_path).write_text(json.dumps(artifacts, sort_keys=True, indent=1))
     return artifacts

@@ -5,6 +5,7 @@ bound, and the matching selection rule.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,3 +157,14 @@ def loss_bound_lr(y_fast: np.ndarray, epsilon: float) -> float:
 def select_lr(y_fast: np.ndarray, epsilon: float, weights: RewardWeights, costs: CostSchedule) -> Action:
     """Offload iff the closed-form bound exceeds the decision threshold."""
     return select_generic(loss_bound_lr(y_fast, epsilon), decision_threshold(weights, costs))
+
+
+def bound_scale_lr(pair: CoresetPair, inputs: np.ndarray) -> float:
+    """Realized loss over loss_bound_lr, each summed over a batch of inputs
+    evaluated at once. The ratio lies in [0, 1]; times the bound, a worst case
+    over scales up to 1 + epsilon, it estimates this pair's expected loss."""
+    y_slow = inputs @ pair.slow.A.T + pair.slow.b
+    y_fast = pair.per_coord_scales * y_slow
+    loss = np.sum((y_fast - y_slow) ** 2, axis=1)
+    bound = math.fsum(pair.epsilon**2 * np.sum(y_fast * y_fast, axis=1) / (1.0 + pair.epsilon) ** 2)
+    return math.fsum(loss) / bound if bound > 0 else 0.0  # zero only for a pair with no outputs

@@ -273,7 +273,10 @@ def reach_sampled(
 
     Draws cfg.n_samples matrices, holds each fixed along its trajectory, and
     propagates the initial box by exact interval arithmetic; the reported box
-    per timestep is the componentwise hull across samples.
+    per timestep is the componentwise hull across samples. A point start
+    stays a point under each sample, so it takes a faster path that steps
+    the N trajectories as one (N, n) @ (n, n) product plus the sampled
+    entries; it agrees with the interval path up to rounding.
     """
     n = lam.dim
     if x0.dim != n:
@@ -281,9 +284,11 @@ def reach_sampled(
     N = cfg.n_samples
     # Draw only the entries with nonzero interval width; the rest are fixed.
     rows, cols = np.nonzero(lam.hi - lam.lo)
+    draws = rng.uniform(lam.lo[rows, cols], lam.hi[rows, cols], size=(N, rows.size))
+    if not x0.is_empty and np.array_equal(x0.lo, x0.hi):
+        return ReachResult(_point_hulls(lam.lo, rows, cols, draws, x0.lo, cfg.horizon), N, cfg.cost)
     A = np.broadcast_to(lam.lo, (N, n, n)).copy()
-    if rows.size:
-        A[:, rows, cols] = rng.uniform(lam.lo[rows, cols], lam.hi[rows, cols], size=(N, rows.size))
+    A[:, rows, cols] = draws
     Ap, An = _split_signs(A)
     bounds = np.broadcast_to(np.stack([x0.lo, x0.hi], axis=-1), (N, n, 2)).copy()
     boxes = []
@@ -291,6 +296,24 @@ def reach_sampled(
         bounds = _step_bounds(Ap, An, bounds)
         boxes.append(Box(bounds[:, :, 0].min(axis=0), bounds[:, :, 1].max(axis=0)))
     return ReachResult(tuple(boxes), N, cfg.cost)
+
+
+def _point_hulls(lo, rows, cols, draws, x0, horizon) -> list[Box]:
+    """Per-timestep hulls of the trajectories x_{k+1} = A_s x_k from the point
+    x0, where A_s is lo with entry (rows[e], cols[e]) set to draws[s, e]."""
+    # Samples run along the last axis so every row operation is contiguous.
+    fixed = lo.copy()
+    fixed[rows, cols] = 0.0
+    draws = np.ascontiguousarray(draws.T)
+    x = np.repeat(x0[:, None], draws.shape[1], axis=1)
+    boxes = []
+    for _ in range(horizon):
+        nxt = fixed @ x
+        for e, (r, c) in enumerate(zip(rows, cols)):
+            nxt[r] += draws[e] * x[c]
+        x = nxt
+        boxes.append(Box(x.min(axis=1), x.max(axis=1)))
+    return boxes
 
 
 def bloat(box: Box, mu: float) -> Box:

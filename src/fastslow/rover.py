@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +37,12 @@ from .reach import (
     loss_nav,
     reach_sampled,
 )
-from .seeding import role_rng, rng_for
+from .schema import ConfigError, merge
+from .seeding import ROVER_CALIB_TAG, role_rng, rng_for
 from .spline import ReferencePath, cubic_spline_plan
 
 POLICY_KINDS = ("fast", "slow", "random", "our_selector", "oracle")
-
-_CALIB_TAG = 7001
+AUG_DIM = 6  # (x, y, yaw, v) plus the two planned controls
 
 
 def wrap_angle(a: float) -> float:
@@ -264,13 +264,12 @@ def mpc_track(
     Qa = np.zeros((nx + 1, nx + 1))
     Qa[:nx, :nx] = Q
     P = Qa.copy()
+    corner = np.eye(1, nx + 1, nx)
+    Aa_seq = [np.vstack([np.column_stack([A, d]), corner]) for A, d in zip(prob.A_seq, prob.drift_seq)]
+    Ba_seq = [np.vstack([B, np.zeros((1, 2))]) for B in prob.B_seq]
     gains: list[np.ndarray] = [np.zeros((2, nx + 1))] * horizon
     for k in reversed(range(horizon)):
-        Aa = np.zeros((nx + 1, nx + 1))
-        Aa[:nx, :nx] = prob.A_seq[k]
-        Aa[:nx, nx] = prob.drift_seq[k]
-        Aa[nx, nx] = 1.0
-        Ba = np.vstack([prob.B_seq[k], np.zeros((1, 2))])
+        Aa, Ba = Aa_seq[k], Ba_seq[k]
         F = R + Ba.T @ P @ Ba
         K = np.linalg.solve(F, Ba.T @ P @ Aa)
         gains[k] = K
@@ -286,12 +285,7 @@ def mpc_track(
                 _clamp(u_nom.steer + du[1], -p.steer_max, p.steer_max),
             )
         )
-        Aa = np.zeros((nx + 1, nx + 1))
-        Aa[:nx, :nx] = prob.A_seq[k]
-        Aa[:nx, nx] = prob.drift_seq[k]
-        Aa[nx, nx] = 1.0
-        Ba = np.vstack([prob.B_seq[k], np.zeros((1, 2))])
-        z = Aa @ z + Ba @ du
+        z = Aa_seq[k] @ z + Ba_seq[k] @ du
     return controls
 
 
@@ -500,8 +494,8 @@ def calibrate_scenario(scn: RoverScenario, seed: int, repeats: int = 2) -> Calib
     pairs = []
     for i, (lam, z0) in enumerate(family):
         for r in range(repeats):
-            fast = reach_sampled(lam, z0, scn.fast_cfg, rng_for(seed, _CALIB_TAG, i, r, 0))
-            slow = reach_sampled(lam, z0, scn.slow_cfg, rng_for(seed, _CALIB_TAG, i, r, 1))
+            fast = reach_sampled(lam, z0, scn.fast_cfg, rng_for(seed, ROVER_CALIB_TAG, i, r, 0))
+            slow = reach_sampled(lam, z0, scn.slow_cfg, rng_for(seed, ROVER_CALIB_TAG, i, r, 1))
             pairs.append((fast, slow))
     return calibrate_bloat(pairs)
 
@@ -529,50 +523,57 @@ def load_points_csv(path: str | Path) -> np.ndarray:
         return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
+# Scenario JSON fields and their defaults; the values of the required fields
+# only fix their types.
+MAP_DEFAULTS = {
+    "name": "rover",
+    "waypoints": [[0.0]],
+    "obstacles": [],
+    "points_csv": "",
+    "cell_size": 0.0,
+    "initial_state": {"x": 0.0, "y": 0.0, "yaw": 0.0, "v": 0.0},
+    "goal_tolerance": 0.5,
+    "reach_horizon": 5,
+    "fast_reach": {"confidence": 0.0, "type1_error": 0.0},
+    "slow_reach": {"confidence": 0.0, "type1_error": 0.0},
+    "weights": {"alpha": 0.7, "beta": 0.3},
+    # A negative cost stands for one proportional to the routine's sample count.
+    "costs": {"c_fast": -1.0, "c_slow": -1.0},
+    "params": asdict(RoverParams()),
+    "cruise_speed": RoverScenario.cruise_speed,
+    "mpc_horizon": RoverScenario.mpc_horizon,
+    "plan_ds": RoverScenario.plan_ds,
+    "step_cap": RoverScenario.step_cap,
+    "perturb_rows": list(RoverScenario.perturb_rows),
+}
+_OBSTACLE = {"lo": [0.0], "hi": [0.0]}
+
+
 def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
-    """Build a scenario from its JSON document."""
-    params = RoverParams(**d.get("params", {}))
-    horizon = int(d.get("reach_horizon", 5))
-    aug_dim = 6
-    fast_cfg = StatReachConfig(dim=aug_dim, horizon=horizon, **d["fast_reach"])
-    slow_cfg = StatReachConfig(dim=aug_dim, horizon=horizon, **d["slow_reach"])
-    if "obstacles" in d:
-        boxes = [Box(np.array(o["lo"], dtype=float), np.array(o["hi"], dtype=float)) for o in d["obstacles"]]
-    elif "points_csv" in d:
+    """Build a scenario from its JSON document, merged over MAP_DEFAULTS."""
+    d = merge(MAP_DEFAULTS, d, required=("waypoints", "fast_reach", "slow_reach"))
+    fast_cfg = StatReachConfig(dim=AUG_DIM, horizon=d["reach_horizon"], cost=d["costs"]["c_fast"], **d["fast_reach"])
+    slow_cfg = StatReachConfig(dim=AUG_DIM, horizon=d["reach_horizon"], cost=d["costs"]["c_slow"], **d["slow_reach"])
+    obstacles = [merge(_OBSTACLE, o, f"obstacles[{i}]", ("lo", "hi")) for i, o in enumerate(d["obstacles"])]
+    boxes = [Box(np.array(o["lo"]), np.array(o["hi"])) for o in obstacles]
+    if d["points_csv"]:
         csv_path = Path(d["points_csv"])
         if base_dir is not None and not csv_path.is_absolute():
             csv_path = base_dir / csv_path
         if not csv_path.exists():
-            raise ValueError(f"points csv not found: {csv_path}")
-        boxes = obstacles_from_points(load_points_csv(csv_path), float(d["cell_size"]))
-    else:
-        boxes = []
-    weights = RewardWeights(**d.get("weights", {"alpha": 0.7, "beta": 0.3}))
-    costs = (
-        CostSchedule(**d["costs"])
-        if "costs" in d
-        else CostSchedule(fast_cfg.cost, slow_cfg.cost)
-    )
-    init = d.get("initial_state", {})
+            raise ConfigError(f"points_csv: file not found: {csv_path}")
+        boxes += obstacles_from_points(load_points_csv(csv_path), d["cell_size"])
     return RoverScenario(
-        name=d.get("name", "rover"),
-        waypoints=np.asarray(d["waypoints"], dtype=float),
         obstacles=UnsafeSet(tuple(boxes), (0, 1)),
-        initial_state=RoverState(
-            init.get("x", 0.0), init.get("y", 0.0), init.get("yaw", 0.0), init.get("v", 0.0)
-        ),
-        goal_tolerance=float(d.get("goal_tolerance", 0.5)),
-        reach_horizon=horizon,
+        initial_state=RoverState(**d["initial_state"]),
         fast_cfg=fast_cfg,
         slow_cfg=slow_cfg,
-        weights=weights,
-        costs=costs,
-        params=params,
-        cruise_speed=float(d.get("cruise_speed", 1.0)),
-        mpc_horizon=int(d.get("mpc_horizon", DEFAULT_MPC_HORIZON)),
-        plan_ds=float(d.get("plan_ds", 0.1)),
-        step_cap=int(d.get("step_cap", 2000)),
-        perturb_rows=tuple(int(r) for r in d.get("perturb_rows", (2,))),
+        weights=RewardWeights(**d["weights"]),
+        costs=CostSchedule(fast_cfg.cost, slow_cfg.cost),
+        params=RoverParams(**d["params"]),
+        perturb_rows=tuple(d["perturb_rows"]),
+        **{k: d[k] for k in ("name", "waypoints", "goal_tolerance", "reach_horizon")},
+        **{k: d[k] for k in ("cruise_speed", "mpc_horizon", "plan_ds", "step_cap")},
     )
 
 

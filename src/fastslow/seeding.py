@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 
-_ROLE_TAGS = {"inputs": 0, "pair": 1, "policy": 2, "fast": 3, "slow": 4, "branch": 5}
+# Every tag of a derived stream, in one registry. Each value keys outputs,
+# so none may change or be reused for another stream.
+PAIR_TAG, INPUT_TAG, RANDOM_TAG, CALIB_SEED_TAG, LR_CALIB_TAG = 11, 12, 13, 14, 15
+ROVER_CALIB_TAG = 7001
+_ROLE_TAGS = {"policy": 2, "fast": 3, "slow": 4}
 
 
 def derive_seed(root: int, *path: int) -> int:

@@ -204,6 +204,13 @@ def test_calibrate_rejects_non_rover(tmp_path):
         calibrate(cfg)
 
 
+@pytest.mark.parametrize("seed", [36, 47, 59])
+def test_linreg_selector_beats_every_benchmark_on_near_exact_pairs(tmp_path, seed):
+    # On these seeds a pair's scales sit near 1, so the unscaled worst-case
+    # bound offloaded most steps and the selector lost to always-fast.
+    check_report(run_suite(_tiny_linreg(tmp_path / "out", seed=seed, trials=2, n_steps=500)))
+
+
 def test_check_report_flags_bad_ordering(tmp_path):
     cfg = _tiny_linreg(tmp_path / "out")
     report = run_suite(cfg)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from fastslow.linreg import (
     CoresetPair,
+    bound_scale_lr,
     InputDistribution,
     LinearModel,
     generate_coreset_pair,
@@ -103,6 +106,23 @@ def test_interval_membership():
         y_fast, y_slow = pair.evaluate(x)
         assert np.all(y_slow <= y_fast)
         assert np.all(y_fast / (1.0 + EPS) <= y_slow * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bound_scale_matches_row_by_row_reference(seed):
+    pair = _pair(seed)
+    xs = _inputs(300, 3, seed=seed + 10)
+    loss = math.fsum(loss_l2(pair.fast_output(x), pair.slow(x)) for x in xs)
+    bound = math.fsum(loss_bound_lr(pair.fast_output(x), EPS) for x in xs)
+    k = bound_scale_lr(pair, xs)
+    assert 0.0 <= k <= 1.0
+    assert k == pytest.approx(loss / bound, rel=1e-12)
+
+
+def test_bound_scale_is_zero_for_identity_scales_and_for_no_outputs():
+    pair = CoresetPair.from_slow(_pair().slow, EPS, np.ones(4))
+    assert bound_scale_lr(pair, _inputs(50, 3)) == 0.0
+    assert bound_scale_lr(_pair(m=0), _inputs(50, 3)) == 0.0
 
 
 def test_select_lr_cases():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastslow.policy import Action
 from fastslow.reach import (
@@ -153,6 +154,43 @@ def test_reach_degenerate_interval_equals_chain():
         assert np.array_equal(res.boxes[k].lo, b.lo)
         assert np.array_equal(res.boxes[k].hi, b.hi)
 
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.integers(1, 4),
+    horizon=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    width_mask=st.integers(0, 2**16 - 1),
+)
+def test_point_start_matches_interval_chain(n, horizon, seed, width_mask):
+    """A point start takes the trajectory kernel; each sampled matrix,
+    replayed from the same stream and stepped through step_box, must give the
+    same hulls up to rounding."""
+    gen = np.random.default_rng(seed)
+    lo = gen.uniform(-2.0, 2.0, (n, n))
+    widths = gen.uniform(0.0, 1.0, (n, n)) * ((width_mask >> np.arange(n * n)) & 1).reshape(n, n)
+    lam = IntervalMatrix(lo, lo + widths)
+    x = gen.uniform(-1.0, 1.0, n)
+    cfg = StatReachConfig(0.5, 0.3, n, horizon)
+    res = reach_sampled(lam, Box.point(x), cfg, np.random.default_rng(seed))
+
+    rows, cols = np.nonzero(lam.hi - lam.lo)
+    draws = np.random.default_rng(seed).uniform(
+        lam.lo[rows, cols], lam.hi[rows, cols], size=(cfg.n_samples, rows.size)
+    )
+    ends = []
+    for d in draws:
+        A = lam.lo.copy()
+        A[rows, cols] = d
+        b, path = Box.point(x), []
+        for _ in range(horizon):
+            b = step_box(A, b)
+            path.append(b.lo)
+        ends.append(path)
+    ends = np.array(ends)  # (samples, horizon, n)
+    for k, box in enumerate(res.boxes):
+        np.testing.assert_allclose(box.lo, ends[:, k].min(axis=0), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(box.hi, ends[:, k].max(axis=0), rtol=1e-12, atol=1e-12)
 
 def test_reach_example_point_with_zero_second_coordinate():
     lam = example_interval_matrix()

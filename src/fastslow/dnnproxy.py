@@ -33,7 +33,7 @@ class ProbabilisticBound:
         if not 0 <= self.delta <= 1:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
         if not (self.m_loss_cap > 0 and math.isfinite(self.m_loss_cap)):
-            raise ValueError(f"loss cap must be positive and finite, got {self.m_loss_cap}")
+            raise ValueError(f"m_loss_cap must be positive and finite, got {self.m_loss_cap}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class ProxyPair:
 
     def __post_init__(self) -> None:
         if not self.out_center > self.out_spread > 0:
-            raise ValueError("need out_center > out_spread > 0 for positive outputs")
+            raise ValueError(f"out_spread must be in (0, out_center {self.out_center}), got {self.out_spread}")
 
     @property
     def n_outputs(self) -> int:
@@ -67,22 +67,33 @@ class ProxyPair:
         return math.sqrt(self.bound.m_loss_cap / self.n_outputs)
 
     def slow_output(self, x: np.ndarray) -> np.ndarray:
-        feats = np.cos(self.feature_weights @ np.asarray(x, dtype=float) + self.feature_phases)
-        return self.out_center + self.out_spread * (self.coefs @ feats)
+        """One input (n,) or a batch (T, n), each row with the bits of a single input."""
+        z = np.matmul(self.feature_weights, np.asarray(x, dtype=float)[..., None])  # not X @ W.T: row bits differ
+        feats = np.cos(z + self.feature_phases[:, None])
+        return self.out_center + self.out_spread * np.matmul(self.coefs, feats)[..., 0]
+
+    def _corrupt(self, y_slow: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fast outputs of the (T, m) slow outputs of inputs first, first + 1, ...
+        and which took the tail branch; input i draws from rng_for(corruption_seed, i)."""
+        eps, delta = self.bound.epsilon, self.bound.delta
+        draws = np.empty_like(y_slow)
+        tail = np.empty(len(y_slow), dtype=bool)
+        for j in range(len(y_slow)):
+            rng = rng_for(self.corruption_seed, first + j)
+            tail[j] = rng.random() < delta
+            lo, hi = (-self.tail_half_width, self.tail_half_width) if tail[j] else (1.0 - eps, 1.0 + eps)
+            draws[j] = rng.uniform(lo, hi, size=y_slow.shape[1])
+        return np.where(tail[:, None], y_slow + draws, draws * y_slow), tail
 
     def fast_with_branch(self, x: np.ndarray, index: int) -> tuple[np.ndarray, str]:
         """Fast output plus which branch fired for input number `index`."""
-        y_slow = self.slow_output(x)
-        rng = rng_for(self.corruption_seed, index)
-        eps, delta = self.bound.epsilon, self.bound.delta
-        if rng.random() < delta:
-            offsets = rng.uniform(-self.tail_half_width, self.tail_half_width, size=y_slow.shape)
-            return y_slow + offsets, TAIL
-        factors = rng.uniform(1.0 - eps, 1.0 + eps, size=y_slow.shape)
-        return factors * y_slow, MULTIPLICATIVE
+        y, tail = self._corrupt(self.slow_output(x)[None], index)
+        return y[0], TAIL if tail[0] else MULTIPLICATIVE
 
     def fast_output(self, x: np.ndarray, index: int) -> np.ndarray:
-        return self.fast_with_branch(x, index)[0]
+        """Fast output of input number `index`, or of a (T, n) batch numbered from `index`."""
+        y_slow = self.slow_output(x)
+        return self._corrupt(np.atleast_2d(y_slow), index)[0].reshape(y_slow.shape)
 
     def to_dict(self) -> dict:
         return {
@@ -141,12 +152,13 @@ def make_proxy_pair(
     return ProxyPair(W, phases, C, out_center, out_spread, bound, corruption_seed)
 
 
-def expected_loss_bound_dnn(y_fast: np.ndarray, bound: ProbabilisticBound) -> float:
-    """delta * cap + (1 - delta) * eps^2 * ||y_fast||^2 / (1 - eps)^2."""
+def expected_loss_bound_dnn(y_fast: np.ndarray, bound: ProbabilisticBound) -> float | np.ndarray:
+    """delta * cap + (1 - delta) * eps^2 * ||y_fast||^2 / (1 - eps)^2, per
+    row of a (T, m) batch."""
     y_fast = np.asarray(y_fast, dtype=float)
     eps, delta = bound.epsilon, bound.delta
-    mult = eps * eps * (y_fast @ y_fast) / ((1.0 - eps) ** 2)
-    return float(delta * bound.m_loss_cap + (1.0 - delta) * mult)
+    mult = eps * eps * np.vecdot(y_fast, y_fast) / ((1.0 - eps) ** 2)
+    return delta * bound.m_loss_cap + (1.0 - delta) * mult
 
 
 def select_dnn(y_fast: np.ndarray, bound: ProbabilisticBound, weights: RewardWeights, costs: CostSchedule) -> Action:

@@ -5,10 +5,15 @@ CSV/JSON/SVG emission.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -20,11 +25,13 @@ from .linreg import InputDistribution, bound_scale_lr, generate_coreset_pair, lo
 from .policy import (
     BoundThresholdPolicy,
     CostSchedule,
+    EpisodeLog,
     FastOnlyPolicy,
     OraclePolicy,
     RandomPolicy,
     RewardWeights,
     SlowOnlyPolicy,
+    evaluate_stream,
     run_episode,
 )
 from .rover import AUG_DIM, RoverScenario, calibrate_scenario, load_scenario, run_navigation
@@ -93,6 +100,10 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+# Model parameters named apart from the block field they take.
+_FIELD_OF_PARAM = {"scale": "input_scale"}
+
+
 def normalize(raw: dict, overrides: dict | None = None) -> dict:
     """`raw` with `overrides` applied, deep-merged over its scenario's DEFAULTS
     and checked. `weights` and `costs` must be given in full. A `seed` or
@@ -118,13 +129,19 @@ def normalize(raw: dict, overrides: dict | None = None) -> dict:
         raise ConfigError("trials: must be >= 1")
     if len(cfg["seeds"]) != cfg["trials"]:
         raise ConfigError(f"seeds: got {len(cfg['seeds'])} explicit seeds for {cfg['trials']} trials")
-    if scenario == "rover":
-        if cfg["n_steps"] != 0:
-            raise ConfigError("n_steps: the rover suite takes no step count; episodes run to the goal or the map's step_cap")
-        if not cfg["rover"]["maps"]:
-            raise ConfigError("rover.maps: calibration set is empty: no maps configured")
-        if cfg["rover"]["calibration_repeats"] < 1:
-            raise ConfigError("rover.calibration_repeats: must be >= 1")
+    if scenario != "rover":
+        try:  # the value ranges live in the model constructors, whose errors name the parameter first
+            _prediction_trial(scenario, cfg[scenario], cfg["seeds"][0], 0)
+        except ValueError as exc:
+            param = str(exc).split()[0]
+            name = _FIELD_OF_PARAM.get(param, param)
+            raise ConfigError(f"{scenario}{'.' + name if name in cfg[scenario] else ''}: {exc}") from exc
+    elif cfg["n_steps"] != 0:
+        raise ConfigError("n_steps: the rover suite takes no step count; episodes run to the goal or the map's step_cap")
+    elif not cfg["rover"]["maps"]:
+        raise ConfigError("rover.maps: calibration set is empty: no maps configured")
+    elif cfg["rover"]["calibration_repeats"] < 1:
+        raise ConfigError("rover.calibration_repeats: must be >= 1")
     return cfg
 
 
@@ -219,17 +236,9 @@ class ComparisonReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "trials": self.trials,
-            "n_steps": self.n_steps,
-            "config": self.config_echo,
-            "calibration": self.calibration,
-            "aggregates": self.aggregates,
-            "per_trial": self.per_trial,
-        }
+        d = dataclasses.asdict(self)
+        d["config"] = d.pop("config_echo")
+        return d
 
     def save(self, path: Path) -> None:
         path.write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1))
@@ -240,16 +249,8 @@ class ComparisonReport:
             raise ConfigError(
                 f"schema-version mismatch: file has {d.get('schema_version')}, expected {SCHEMA_VERSION}"
             )
-        return cls(
-            scenario=d["scenario"],
-            seed=d["seed"],
-            trials=d["trials"],
-            n_steps=d["n_steps"],
-            per_trial=d["per_trial"],
-            aggregates=d["aggregates"],
-            config_echo=d.get("config", {}),
-            calibration=d.get("calibration", []),
-        )
+        fields = ("scenario", "seed", "trials", "n_steps", "per_trial", "aggregates")
+        return cls(**{k: d[k] for k in fields}, config_echo=d.get("config", {}), calibration=d.get("calibration", []))
 
     @classmethod
     def load(cls, path: Path) -> "ComparisonReport":
@@ -279,88 +280,58 @@ def _rel(v: float) -> str:
     return repr(float(v))
 
 
-def _steps_header() -> list[str]:
-    return ["map", "trial", "policy", "t", "action", "loss", "cost", "reward", "bound"]
+STEPS_HEADER = ("map", "trial", "policy", "t", "action", "loss", "cost", "reward", "bound")
 
 
-def _write_step_rows(writer, map_name: str, trial: int, policy: str, records) -> None:
-    for r in records:
-        writer.writerow(
-            [map_name, trial, policy, r.t, int(r.action), _rel(r.loss_realized), _rel(r.cost_incurred), _rel(r.reward), _rel(r.bound_used)]
-        )
+def _write_steps(f, map_name: str, trial: int, policy: str, log: EpisodeLog) -> None:
+    """Append one episode to steps.csv, column by column. The bytes are those
+    csv.writer writes for rows of ints and float reprs."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([map_name, trial, policy])  # quotes a map name that needs it
+    key = buf.getvalue()[:-2]
+    f.write("".join(
+        f"{key},{t},{a},{loss!r},{cost!r},{reward!r},{bound!r}\r\n"
+        for t, a, loss, cost, reward, bound in zip(*(col.tolist() for col in log.columns()))
+    ))
 
 
 def _summary_row(map_name: str, trial: int, policy: str, summary) -> dict:
-    return {
-        "map": map_name,
-        "trial": trial,
-        "policy": policy,
-        "cumulative_reward": summary.cumulative_reward,
-        "total_cost": summary.total_cost,
-        "mean_loss": summary.mean_loss,
-        "slow_query_fraction": summary.slow_query_fraction,
-        "n_steps": summary.n_steps,
-    }
+    return dict(map=map_name, trial=trial, policy=policy, **dataclasses.asdict(summary))
 
 
-class _IndexedFast:
-    """Adapter giving the proxy pair's corrupted branch the input index the
-    episode runner does not pass explicitly. The runner evaluates the fast
-    model exactly once per step, in order."""
+def _prediction_trial(scenario: str, block: dict, trial_seed: int, n_steps: int):
+    """One trial's model pair and inputs, evaluated once, and the selector's
+    bound function."""
+    if scenario == "linreg":
+        eps, n, scale = block["epsilon"], block["n_inputs"], block["input_scale"]
+        pair = generate_coreset_pair(
+            rng_for(trial_seed, PAIR_TAG), n, block["n_outputs"], eps, bias_weight=block["bias_weight"]
+        )
+        inputs = InputDistribution(n, scale, seed=derive_seed(trial_seed, INPUT_TAG)).draw(n_steps)
+        calib = InputDistribution(n, scale, seed=derive_seed(trial_seed, LR_CALIB_TAG)).draw(LR_CALIBRATION_INPUTS)
+        k = bound_scale_lr(pair, calib)
+        return evaluate_stream(inputs, pair.fast_output, pair.slow, loss_l2), lambda y: k * loss_bound_lr(y, eps)
+    bound = ProbabilisticBound(block["epsilon"], block["delta"], block["m_loss_cap"])
+    pair = make_proxy_pair(
+        rng_for(trial_seed, PAIR_TAG), block["n_inputs"], block["n_outputs"], bound,
+        n_features=block["n_features"], out_center=block["out_center"], out_spread=block["out_spread"],
+    )
+    inputs = rng_for(trial_seed, INPUT_TAG).normal(0.0, block["input_scale"], size=(n_steps, block["n_inputs"]))
+    stream = evaluate_stream(inputs, partial(pair.fast_output, index=0), pair.slow_output, loss_l2)
+    return stream, lambda y: expected_loss_bound_dnn(y, bound)
 
-    def __init__(self, pair):
-        self.pair = pair
-        self.next_index = 0
 
-    def __call__(self, x):
-        y = self.pair.fast_output(x, self.next_index)
-        self.next_index += 1
-        return y
-
-
-def _run_prediction_suite(cfg: ExperimentConfig, steps_writer, steps_file, per_trial: list[dict]) -> None:
-    block = cfg.block
+def _run_prediction_suite(cfg: ExperimentConfig, steps_file, per_trial: list[dict]) -> None:
     for trial, trial_seed in enumerate(cfg.seeds):
-        if cfg.scenario == "linreg":
-            eps = block["epsilon"]
-            pair = generate_coreset_pair(
-                rng_for(trial_seed, PAIR_TAG), block["n_inputs"], block["n_outputs"], eps, bias_weight=block["bias_weight"]
-            )
-            n, scale = block["n_inputs"], block["input_scale"]
-            inputs = InputDistribution(n, scale, seed=derive_seed(trial_seed, INPUT_TAG)).draw(cfg.n_steps)
-            calib = InputDistribution(n, scale, seed=derive_seed(trial_seed, LR_CALIB_TAG)).draw(LR_CALIBRATION_INPUTS)
-            k = bound_scale_lr(pair, calib)
-            make_fast = lambda: pair.fast_output
-            slow_model = pair.slow
-            bound_fn = lambda y: k * loss_bound_lr(y, eps)
-        else:
-            bound = ProbabilisticBound(block["epsilon"], block["delta"], block["m_loss_cap"])
-            pair = make_proxy_pair(
-                rng_for(trial_seed, PAIR_TAG), block["n_inputs"], block["n_outputs"], bound,
-                n_features=block["n_features"], out_center=block["out_center"], out_spread=block["out_spread"],
-            )
-            inputs = rng_for(trial_seed, INPUT_TAG).normal(0.0, block["input_scale"], size=(cfg.n_steps, block["n_inputs"]))
-            make_fast = lambda: _IndexedFast(pair)
-            slow_model = pair.slow_output
-            bound_fn = lambda y: expected_loss_bound_dnn(y, bound)
-
-        for policy_name in POLICY_ORDER:
-            policy = {
-                "fast": FastOnlyPolicy,
-                "slow": SlowOnlyPolicy,
-                "oracle": OraclePolicy,
-            }.get(policy_name)
-            if policy is not None:
-                policy = policy()
-            elif policy_name == "random":
-                policy = RandomPolicy(derive_seed(trial_seed, RANDOM_TAG))
-            else:
-                policy = BoundThresholdPolicy(bound_fn)
-            records, summary = run_episode(
-                inputs, make_fast(), slow_model, policy, loss_l2, cfg.weights, cfg.costs
-            )
-            _write_step_rows(steps_writer, "-", trial, policy_name, records)
-            per_trial.append(_summary_row("-", trial, policy_name, summary))
+        stream, bound_fn = _prediction_trial(cfg.scenario, cfg.block, trial_seed, cfg.n_steps)
+        policies = (
+            FastOnlyPolicy(), SlowOnlyPolicy(), RandomPolicy(derive_seed(trial_seed, RANDOM_TAG)),
+            BoundThresholdPolicy(bound_fn), OraclePolicy(),
+        )
+        for policy in policies:  # in POLICY_ORDER
+            log, summary = run_episode(stream, policy, cfg.weights, cfg.costs)
+            _write_steps(steps_file, "-", trial, policy.name, log)
+            per_trial.append(_summary_row("-", trial, policy.name, summary))
         steps_file.flush()
 
 
@@ -377,10 +348,9 @@ def _write_trajectory_rows(writer, map_name, trial, policy, nav) -> None:
 
 def _write_reach_rows(writer, map_name, trial, policy, nav) -> None:
     for step in nav.steps:
-        consulted = [("fast", step.fast_result)]
-        if step.slow_result is not None:
-            consulted.append(("slow", step.slow_result))
-        for model, result in consulted:
+        for model, result in (("fast", step.fast_result), ("slow", step.slow_result)):
+            if result is None:
+                continue
             for k, box in enumerate(result.boxes, start=1):
                 writer.writerow(
                     [map_name, trial, policy, step.t, model, k]
@@ -401,7 +371,7 @@ def _calibrated_maps(cfg: ExperimentConfig):
 
 
 def _run_rover_suite(
-    cfg: ExperimentConfig, steps_writer, steps_file, out: Path, per_trial: list[dict], calibrations: list[dict]
+    cfg: ExperimentConfig, steps_file, out: Path, per_trial: list[dict], calibrations: list[dict]
 ) -> None:
     traj_path = out / "trajectories.csv"
     reach_path = out / "reach_sets.csv"
@@ -419,14 +389,12 @@ def _run_rover_suite(
             for trial, trial_seed in enumerate(cfg.seeds):
                 for policy_name in POLICY_ORDER:
                     nav = run_navigation(scn, policy_name, trial_seed, bloat_mu=artifact["mu"])
-                    _write_step_rows(steps_writer, scn.name, trial, policy_name, nav.records)
+                    _write_steps(steps_file, scn.name, trial, policy_name, EpisodeLog.from_records(nav.records))
                     _write_trajectory_rows(traj_writer, scn.name, trial, policy_name, nav)
                     if trial == 0:
                         _write_reach_rows(reach_writer, scn.name, trial, policy_name, nav)
                     row = _summary_row(scn.name, trial, policy_name, nav.summary)
-                    row["reached_goal"] = nav.reached_goal
-                    row["flagged_unsafe"] = nav.flagged_unsafe
-                    per_trial.append(row)
+                    per_trial.append(dict(row, reached_goal=nav.reached_goal, flagged_unsafe=nav.flagged_unsafe))
                 steps_file.flush()
     (out / "calibration.json").write_text(json.dumps(calibrations, sort_keys=True, indent=1))
 
@@ -446,13 +414,12 @@ def run_suite(cfg: ExperimentConfig) -> ComparisonReport:
     interrupted = False
     steps_path = out / "steps.csv"
     with steps_path.open("w", newline="") as sf:
-        writer = csv.writer(sf)
-        writer.writerow(_steps_header())
+        sf.write(",".join(STEPS_HEADER) + "\r\n")
         try:
             if cfg.scenario in ("linreg", "dnn"):
-                _run_prediction_suite(cfg, writer, sf, per_trial)
+                _run_prediction_suite(cfg, sf, per_trial)
             else:
-                _run_rover_suite(cfg, writer, sf, out, per_trial, calibrations)
+                _run_rover_suite(cfg, sf, out, per_trial, calibrations)
         except KeyboardInterrupt:
             # flush what completed; the partial summary is still well-formed
             interrupted = True
@@ -462,14 +429,7 @@ def run_suite(cfg: ExperimentConfig) -> ComparisonReport:
     if interrupted:
         config_echo["partial"] = True
     report = ComparisonReport(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        trials=cfg.trials,
-        n_steps=cfg.n_steps,
-        per_trial=per_trial,
-        aggregates=aggregate_rows(per_trial),
-        config_echo=config_echo,
-        calibration=calibrations,
+        cfg.scenario, cfg.seed, cfg.trials, cfg.n_steps, per_trial, aggregate_rows(per_trial), config_echo, calibrations
     )
     report.save(out / "summary.json")
     emit_charts(out, report, [steps_path])
@@ -478,30 +438,35 @@ def run_suite(cfg: ExperimentConfig) -> ComparisonReport:
     return report
 
 
+def _episode_rewards(path: Path):
+    """(policy, reward column) of each episode in a steps.csv, in file order.
+    Only one episode is held at a time."""
+    with Path(path).open(newline="") as f:
+        rows = csv.reader(f)
+        col = {name: i for i, name in enumerate(next(rows, STEPS_HEADER))}
+        key = [col["map"], col["trial"], col["policy"]]
+        reward = col["reward"]
+        for (_, _, policy), episode in itertools.groupby(rows, lambda row: [row[i] for i in key]):
+            yield policy, np.array([float(row[reward]) for row in episode])
+
+
 def _reward_curves(steps_paths: list[Path]) -> dict[str, list[tuple[float, float]]]:
-    """Mean cumulative reward per policy, averaged over trials (and maps)."""
-    sums: dict[str, dict[int, float]] = {p: {} for p in POLICY_ORDER}
-    counts: dict[str, dict[int, int]] = {p: {} for p in POLICY_ORDER}
-    running: dict[tuple[str, str, str], float] = {}
+    """Mean cumulative reward per policy and step, averaged over the episodes
+    (trials and maps) that reach the step."""
+    totals = {p: np.zeros((2, 0)) for p in POLICY_ORDER}  # per step: summed cumulative reward, episodes
     for path in steps_paths:
-        with Path(path).open(newline="") as f:
-            reader = csv.DictReader(f)
-            for row in reader:
-                key = (row["map"], row["trial"], row["policy"])
-                t = int(row["t"])
-                if t == 0:
-                    running[key] = 0.0
-                running[key] += float(row["reward"])
-                policy = row["policy"]
-                sums[policy][t] = sums[policy].get(t, 0.0) + running[key]
-                counts[policy][t] = counts[policy].get(t, 0) + 1
+        for policy, rewards in _episode_rewards(path):
+            n = len(rewards)
+            acc = totals[policy] = np.pad(totals[policy], ((0, 0), (0, max(0, n - totals[policy].shape[1]))))
+            acc[0, :n] += np.cumsum(rewards)
+            acc[1, :n] += 1
     curves: dict[str, list[tuple[float, float]]] = {}
     for policy in POLICY_ORDER:
-        ts = sorted(sums[policy])
-        if not ts:
+        means = (totals[policy][0] / totals[policy][1]).tolist()
+        if not means:
             continue
-        stride = max(1, len(ts) // 400)
-        pts = [(float(t), sums[policy][t] / counts[policy][t]) for t in ts]
+        stride = max(1, len(means) // 400)
+        pts = [(float(t), m) for t, m in enumerate(means)]
         curves[policy] = pts[::stride] + ([pts[-1]] if (len(pts) - 1) % stride else [])
     return curves
 
@@ -513,14 +478,8 @@ def emit_charts(out: Path, report: ComparisonReport, steps_paths: list[Path]) ->
     (out / "reward_curve.svg").write_text(
         charts.line_chart_svg(curves, f"{report.scenario}: cumulative reward", "step", "mean cumulative reward")
     )
-    scatter = {
-        p: [
-            (float(r["total_cost"]), float(r["mean_loss"]))
-            for r in report.per_trial
-            if r["policy"] == p
-        ]
-        for p in POLICY_ORDER
-    }
+    rows = report.per_trial
+    scatter = {p: [(float(r["total_cost"]), float(r["mean_loss"])) for r in rows if r["policy"] == p] for p in POLICY_ORDER}
     (out / "cost_vs_loss.svg").write_text(
         charts.scatter_chart_svg(scatter, f"{report.scenario}: cost vs loss", "total cost", "mean loss")
     )
@@ -557,12 +516,11 @@ def merge_reports(paths: list[Path], out_dir: Path | None = None) -> ComparisonR
     scenario = reports[0].scenario
     if any(r.scenario != scenario for r in reports):
         raise ConfigError("cannot merge reports from different scenarios")
-    per_trial = []
-    for i, r in enumerate(reports):
-        for row in r.per_trial:
-            merged = dict(row)
-            merged["source"] = i
-            per_trial.append(merged)
+    digests = [r.config_echo.get("digest") for r in reports]
+    if len(set(digests)) > 1:
+        distinct = ", ".join(map(str, dict.fromkeys(digests)))
+        warnings.warn(f"merging summaries of different configs (digests {distinct}); the aggregates pool them", stacklevel=2)
+    per_trial = [dict(row, source=i) for i, r in enumerate(reports) for row in r.per_trial]
     merged_report = ComparisonReport(
         scenario=scenario,
         seed=reports[0].seed,
@@ -570,7 +528,7 @@ def merge_reports(paths: list[Path], out_dir: Path | None = None) -> ComparisonR
         n_steps=reports[0].n_steps,
         per_trial=per_trial,
         aggregates=aggregate_rows(per_trial),
-        config_echo={"merged_from": [str(p) for p in paths]},
+        config_echo={"merged_from": [str(p) for p in paths], "digests": digests},
         calibration=[c for r in reports for c in r.calibration],
     )
     if out_dir is not None:

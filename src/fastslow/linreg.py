@@ -32,7 +32,8 @@ class LinearModel:
             raise ValueError("model entries must be finite")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.b
+        """One input (n,) or a batch (T, n), each row with the bits of A @ row (X @ A.T differs)."""
+        return np.matmul(self.A, np.asarray(x)[..., None])[..., 0] + self.b
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class InputDistribution:
         if self.kind != "nonnegative-gaussian-magnitude":
             raise ValueError(f"unsupported input kind {self.kind!r}")
         if self.scale <= 0:
-            raise ValueError("scale must be positive")
+            raise ValueError(f"scale must be positive, got {self.scale}")
 
     def draw(self, count: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -137,21 +138,22 @@ def generate_coreset_pair(
     return CoresetPair.from_slow(slow, epsilon, scales)
 
 
-def loss_l2(y1: np.ndarray, y2: np.ndarray) -> float:
-    """Squared Euclidean distance."""
+def loss_l2(y1: np.ndarray, y2: np.ndarray) -> float | np.ndarray:
+    """Squared Euclidean distance over the last axis: one value for two
+    outputs, (T,) values for two (T, m) batches."""
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     if y1.shape != y2.shape:
         raise ValueError(f"shape mismatch {y1.shape} vs {y2.shape}")
     d = y1 - y2
-    return float(d @ d)
+    return np.vecdot(d, d)  # per row, the bits of d @ d
 
 
-def loss_bound_lr(y_fast: np.ndarray, epsilon: float) -> float:
+def loss_bound_lr(y_fast: np.ndarray, epsilon: float) -> float | np.ndarray:
     """Worst-case loss against the slow model given only the fast output:
-    epsilon^2 * ||y_fast||^2 / (1 + epsilon)^2."""
+    epsilon^2 * ||y_fast||^2 / (1 + epsilon)^2, per row of a (T, m) batch."""
     y_fast = np.asarray(y_fast, dtype=float)
-    return float(epsilon * epsilon * (y_fast @ y_fast) / ((1.0 + epsilon) ** 2))
+    return epsilon * epsilon * np.vecdot(y_fast, y_fast) / ((1.0 + epsilon) ** 2)
 
 
 def select_lr(y_fast: np.ndarray, epsilon: float, weights: RewardWeights, costs: CostSchedule) -> Action:

@@ -18,7 +18,9 @@ import numpy as np
 
 INFINITE_LOSS = math.inf
 
-LossFn = Callable[[Any, Any], float]
+# Maps fast and slow outputs to the loss of keeping the fast one; the episode
+# runner passes (T, m) batches and expects (T,) losses.
+LossFn = Callable[[Any, Any], Any]
 
 
 class Action(IntEnum):
@@ -70,6 +72,35 @@ class StepRecord:
     bound_used: float
 
 
+@dataclass(frozen=True, eq=False)
+class EpisodeLog:
+    """The decision log of one episode, column by column: entry t of each
+    array belongs to step t. Iterating yields the rows as StepRecords."""
+
+    t: np.ndarray
+    action: np.ndarray
+    loss: np.ndarray
+    cost: np.ndarray
+    reward: np.ndarray
+    bound: np.ndarray
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.t, self.action, self.loss, self.cost, self.reward, self.bound
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self):
+        for t, action, *rest in zip(*(col.tolist() for col in self.columns())):
+            yield StepRecord(t, Action(action), *rest)
+
+    @classmethod
+    def from_records(cls, records: Iterable[StepRecord]) -> "EpisodeLog":
+        rows = [(r.t, int(r.action), r.loss_realized, r.cost_incurred, r.reward, r.bound_used) for r in records]
+        cols = list(zip(*rows)) or [()] * 6
+        return cls(*(np.array(col, dtype=int if i < 2 else float) for i, col in enumerate(cols)))
+
+
 @dataclass(frozen=True)
 class EpisodeSummary:
     cumulative_reward: float
@@ -80,10 +111,11 @@ class EpisodeSummary:
 
 
 class EpisodeError(RuntimeError):
-    """A model evaluation failed; carries the step index."""
+    """A model evaluation failed; `step` is the first step of the inputs that
+    the failed call evaluated."""
 
     def __init__(self, step: int, which: str):
-        super().__init__(f"{which} model evaluation failed at step {step}")
+        super().__init__(f"{which} model evaluation failed on the inputs from step {step}")
         self.step = step
         self.which = which
 
@@ -91,9 +123,7 @@ class EpisodeError(RuntimeError):
 def step_cost(action: Action, costs: CostSchedule) -> float:
     """The fast model always runs, so its cost is always paid; offloading
     adds c_slow on top."""
-    if action == Action.INVOKE_SLOW:
-        return costs.c_fast + costs.c_slow
-    return costs.c_fast
+    return costs.c_fast + costs.c_slow if action == Action.INVOKE_SLOW else costs.c_fast
 
 
 def step_reward(action: Action, loss: float, weights: RewardWeights, costs: CostSchedule) -> float:
@@ -102,9 +132,8 @@ def step_reward(action: Action, loss: float, weights: RewardWeights, costs: Cost
 
 
 def decision_threshold(weights: RewardWeights, costs: CostSchedule) -> float:
-    """(beta / alpha) * c_slow: the accuracy gain needed to justify offloading."""
-    if weights.alpha <= 0:
-        raise ValueError("alpha must be positive")
+    """(beta / alpha) * c_slow: the accuracy gain needed to justify offloading.
+    RewardWeights holds alpha > 0."""
     return (weights.beta / weights.alpha) * costs.c_slow
 
 
@@ -143,128 +172,124 @@ def policy_oracle(loss_fast: float, loss_slow: float, weights: RewardWeights, co
     return Action.INVOKE_SLOW if r_slow > r_fast else Action.USE_FAST
 
 
-class StepView:
-    """What a selection policy may inspect at one step.
+@dataclass(frozen=True, eq=False)
+class EvaluatedStream:
+    """An input stream scored once: the fast output of every input and the
+    loss of keeping it, which the slow output, the ground truth, defines."""
 
-    The fast output is free to read. ``y_slow`` is privileged: calling it
-    before deciding is what makes the oracle unrealizable.
-    """
+    y_fast: np.ndarray  # (T, m)
+    loss_fast: np.ndarray  # (T,)
 
-    __slots__ = ("t", "x", "y_fast", "weights", "costs", "_slow_model", "_loss_fn", "_y_slow", "_have_slow")
-
-    def __init__(self, t, x, y_fast, weights, costs, slow_model, loss_fn):
-        self.t = t
-        self.x = x
-        self.y_fast = y_fast
-        self.weights = weights
-        self.costs = costs
-        self._slow_model = slow_model
-        self._loss_fn = loss_fn
-        self._y_slow = None
-        self._have_slow = False
-
-    def y_slow(self):
-        if not self._have_slow:
-            try:
-                self._y_slow = self._slow_model(self.x)
-            except Exception as exc:
-                raise EpisodeError(self.t, "slow") from exc
-            self._have_slow = True
-        return self._y_slow
-
-    def fast_loss_vs_slow(self) -> float:
-        return self._loss_fn(self.y_fast, self.y_slow())
+    def __len__(self) -> int:
+        return len(self.loss_fast)
 
 
-class FastOnlyPolicy:
-    name = "fast"
+def evaluate_stream(inputs, fast_model: Callable, slow_model: Callable, loss_fn: LossFn) -> EvaluatedStream:
+    """Call each model once on the (T, n) input array and score the fast
+    outputs against the slow ones. The models and the loss map a batch row by
+    row: (T, n) -> (T, m) and two (T, m) -> (T,)."""
+    inputs = np.asarray(inputs, dtype=float)
+    outputs = []
+    for which, model in (("fast", fast_model), ("slow", slow_model)):
+        try:
+            outputs.append(np.asarray(model(inputs), dtype=float))
+        except Exception as exc:
+            raise EpisodeError(0, which) from exc
+    return EvaluatedStream(outputs[0], np.asarray(loss_fn(*outputs), dtype=float))
 
-    def decide(self, view: StepView) -> tuple[Action, float]:
-        return policy_fast(), 0.0
+
+# Each policy decides a whole stream at once: decide(stream, weights, costs)
+# returns the action of every step and the figure it compared (0 if none).
 
 
-class SlowOnlyPolicy:
-    name = "slow"
+class _ConstantPolicy:
+    action: Action
 
-    def decide(self, view: StepView) -> tuple[Action, float]:
-        return policy_slow(), 0.0
+    def decide(self, stream: EvaluatedStream, weights: RewardWeights, costs: CostSchedule):
+        return np.full(len(stream), int(self.action)), np.zeros(len(stream))
+
+
+class FastOnlyPolicy(_ConstantPolicy):
+    name, action = "fast", Action.USE_FAST
+
+
+class SlowOnlyPolicy(_ConstantPolicy):
+    name, action = "slow", Action.INVOKE_SLOW
 
 
 class RandomPolicy:
+    """Fair coin per step; the stream continues across episodes."""
+
     name = "random"
 
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
 
-    def decide(self, view: StepView) -> tuple[Action, float]:
-        return policy_random(self._rng), 0.0
+    def decide(self, stream: EvaluatedStream, weights: RewardWeights, costs: CostSchedule):
+        # T draws at once give the same coins as T calls of policy_random.
+        return self._rng.integers(0, 2, size=len(stream)), np.zeros(len(stream))
 
 
 class OraclePolicy:
+    """policy_oracle on every step: it compares the fast loss it may not see."""
+
     name = "oracle"
 
-    def decide(self, view: StepView) -> tuple[Action, float]:
-        gain = view.fast_loss_vs_slow()
-        return policy_oracle(gain, 0.0, view.weights, view.costs), gain
+    def decide(self, stream: EvaluatedStream, weights: RewardWeights, costs: CostSchedule):
+        gain = stream.loss_fast
+        r_slow = step_reward(Action.INVOKE_SLOW, 0.0, weights, costs)
+        return (r_slow > step_reward(Action.USE_FAST, gain, weights, costs)).astype(int), gain
 
 
 class BoundThresholdPolicy:
     """The realizable selector: compares a scenario-supplied expected-loss
-    bound (a function of the fast output only) against the threshold."""
+    bound, a function of the fast outputs only, (T, m) -> (T,), against the
+    threshold."""
 
-    def __init__(self, bound_fn: Callable[[Any], float], name: str = "our_selector"):
+    def __init__(self, bound_fn: Callable[[np.ndarray], np.ndarray], name: str = "our_selector"):
         self.bound_fn = bound_fn
         self.name = name
 
-    def decide(self, view: StepView) -> tuple[Action, float]:
-        bound = self.bound_fn(view.y_fast)
-        threshold = decision_threshold(view.weights, view.costs)
-        return select_generic(bound, threshold), bound
+    def decide(self, stream: EvaluatedStream, weights: RewardWeights, costs: CostSchedule):
+        bound = np.asarray(self.bound_fn(stream.y_fast), dtype=float)
+        return (decision_threshold(weights, costs) < bound).astype(int), bound
 
 
-def summarize(records: list[StepRecord]) -> EpisodeSummary:
-    n = len(records)
+def summarize(log: EpisodeLog | Iterable[StepRecord]) -> EpisodeSummary:
+    if not isinstance(log, EpisodeLog):
+        log = EpisodeLog.from_records(log)
+    n = len(log)
     if n == 0:
         return EpisodeSummary(0.0, 0.0, 0.0, 0.0, 0)
-    cumulative = math.fsum(r.reward for r in records)
-    total_cost = math.fsum(r.cost_incurred for r in records)
-    mean_loss = math.fsum(r.loss_realized for r in records) / n
-    n_slow = sum(1 for r in records if r.action == Action.INVOKE_SLOW)
+    cumulative = math.fsum(log.reward.tolist())
+    total_cost = math.fsum(log.cost.tolist())
+    mean_loss = math.fsum(log.loss.tolist()) / n
+    n_slow = int(np.count_nonzero(log.action == Action.INVOKE_SLOW))
     return EpisodeSummary(cumulative, total_cost, mean_loss, n_slow / n, n)
 
 
 def run_episode(
-    input_stream: Iterable[Any],
-    fast_model: Callable[[Any], Any],
-    slow_model: Callable[[Any], Any],
-    policy,
-    loss_fn: LossFn,
-    weights: RewardWeights,
-    costs: CostSchedule,
-) -> tuple[list[StepRecord], EpisodeSummary]:
-    """Run one sequential decision episode over a stream of inputs.
+    stream: EvaluatedStream, policy, weights: RewardWeights, costs: CostSchedule
+) -> tuple[EpisodeLog, EpisodeSummary]:
+    """Decide every step of an evaluated stream under one policy.
 
-    The fast model runs at every step (the policy always sees its output and
-    its cost is always charged). The slow model's output doubles as ground
-    truth, so the realized loss is loss_fn(y_fast, y_slow) when keeping the
-    fast result and exactly 0 after offloading. Scoring the fast result
-    therefore evaluates the slow model too, but c_slow is only charged on
-    the steps where the policy actually invoked it.
+    The fast model ran at every step (the policy sees its output and its cost
+    is always charged). The slow model's output is the ground truth, so the
+    realized loss is the fast loss when keeping the fast result and exactly 0
+    after offloading; c_slow is charged only on the offloaded steps.
     """
-    records: list[StepRecord] = []
-    for t, x in enumerate(input_stream):
-        try:
-            y_fast = fast_model(x)
-        except Exception as exc:
-            raise EpisodeError(t, "fast") from exc
-        view = StepView(t, x, y_fast, weights, costs, slow_model, loss_fn)
-        action, bound = policy.decide(view)
-        if action == Action.INVOKE_SLOW:
-            view.y_slow()  # charged invocation; result is the ground truth
-            loss = 0.0
-        else:
-            loss = view.fast_loss_vs_slow()
-        cost = step_cost(action, costs)
-        reward = step_reward(action, loss, weights, costs)
-        records.append(StepRecord(t, action, loss, cost, reward, bound))
-    return records, summarize(records)
+    action, bound = policy.decide(stream, weights, costs)
+    slow = action == Action.INVOKE_SLOW
+    log = EpisodeLog(
+        np.arange(len(stream)),
+        action,
+        np.where(slow, 0.0, stream.loss_fast),
+        np.where(slow, step_cost(Action.INVOKE_SLOW, costs), step_cost(Action.USE_FAST, costs)),
+        np.where(
+            slow,
+            step_reward(Action.INVOKE_SLOW, 0.0, weights, costs),
+            step_reward(Action.USE_FAST, stream.loss_fast, weights, costs),
+        ),
+        bound,
+    )
+    return log, summarize(log)

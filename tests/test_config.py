@@ -148,6 +148,9 @@ def _changed(value, step):
         raise AssertionError(f"unexpected leaf {value!r}")
     if isinstance(value, str):
         return value + "x"
+    if isinstance(value, float):
+        # A small step keeps ranged fields such as epsilon < 1 valid.
+        return value + step / 16
     return value + step
 
 
@@ -204,3 +207,21 @@ def test_bad_configs_exit_2_naming_the_field(scenario, mutation, data):
             parent[key] = data.draw(st.sampled_from(_WRONG[type(parent[key])]))
             field = ".".join(path)
     _assert_config_error(*_cli_with_config(doc, scenario), field)
+
+
+@pytest.mark.parametrize(
+    "scenario, field, value",
+    [
+        ("linreg", "epsilon", 1.5),
+        ("linreg", "input_scale", 0.0),
+        ("dnn", "delta", 1.5),
+        ("dnn", "epsilon", 0.0),
+        ("dnn", "m_loss_cap", 0.0),
+        ("dnn", "out_spread", 2.0),
+        ("dnn", "input_scale", -1.0),
+    ],
+)
+def test_out_of_range_block_values_exit_2_naming_the_field(scenario, field, value):
+    doc = _defaults(scenario)
+    doc[scenario] = dict(doc[scenario], **{field: value})
+    _assert_config_error(*_cli_with_config(doc, scenario), f"{scenario}.{field}")

@@ -169,6 +169,19 @@ def test_report_merges_and_regenerates_charts(tmp_path):
     assert (tmp_path / "m" / "reward_curve.svg").read_bytes() == first
 
 
+def test_report_warns_on_mixed_configs_and_echoes_their_digests(tmp_path):
+    import warnings
+
+    digests = [run_suite(_tiny_linreg(tmp_path / name, seed=seed)).config_echo["digest"] for name, seed in (("a", 5), ("b", 6))]
+    with pytest.warns(UserWarning, match=f"{digests[0]}, {digests[1]}"):
+        merged = merge_reports([tmp_path / "a", tmp_path / "b"])
+    assert merged.config_echo["digests"] == digests
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        same = merge_reports([tmp_path / "a", tmp_path / "a"], out_dir=tmp_path / "m")
+    assert same.config_echo["digests"] == [digests[0], digests[0]]
+
+
 def test_rover_suite_writes_trajectories_and_reach_sets(tmp_path):
     map_path = _tiny_map(tmp_path)
     cfg = _tiny_rover(tmp_path / "out", map_path)

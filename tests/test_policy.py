@@ -14,6 +14,7 @@ from fastslow.policy import (
     RewardWeights,
     SlowOnlyPolicy,
     decision_threshold,
+    evaluate_stream,
     policy_fast,
     policy_oracle,
     policy_random,
@@ -134,26 +135,29 @@ def test_scale_invariance_of_decisions():
 
 
 def _stream(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return [rng.uniform(0, 1, size=3) for _ in range(n)]
+    return np.random.default_rng(seed).uniform(0, 1, size=(n, 3))
 
 
-def _fast(x):
-    return 1.05 * x
+def _fast(xs):
+    return 1.05 * xs
 
 
-def _slow(x):
-    return x
+def _slow(xs):
+    return xs
 
 
 def _l2(a, b):
     d = a - b
-    return float(d @ d)
+    return np.vecdot(d, d)
+
+
+def _episode(xs, policy, fast=_fast, slow=_slow, loss=_l2):
+    return run_episode(evaluate_stream(xs, fast, slow, loss), policy, W, C)
 
 
 def test_run_episode_empty_stream():
-    records, summary = run_episode([], _fast, _slow, FastOnlyPolicy(), _l2, W, C)
-    assert records == []
+    log, summary = _episode(np.empty((0, 3)), FastOnlyPolicy())
+    assert len(log) == 0 and list(log) == []
     assert summary.cumulative_reward == 0.0
     assert summary.n_steps == 0
     assert summary.slow_query_fraction == 0.0
@@ -161,7 +165,7 @@ def test_run_episode_empty_stream():
 
 def test_run_episode_slow_policy_has_zero_loss():
     n = 50
-    records, summary = run_episode(_stream(n), _fast, _slow, SlowOnlyPolicy(), _l2, W, C)
+    log, summary = _episode(_stream(n), SlowOnlyPolicy())
     assert summary.mean_loss == 0.0
     assert summary.total_cost == pytest.approx(n * 3.5)
     assert summary.slow_query_fraction == 1.0
@@ -169,8 +173,8 @@ def test_run_episode_slow_policy_has_zero_loss():
 
 def test_run_episode_oracle_beats_fast():
     xs = _stream(200, seed=3)
-    _, s_fast = run_episode(xs, _fast, _slow, FastOnlyPolicy(), _l2, W, C)
-    _, s_oracle = run_episode(xs, _fast, _slow, OraclePolicy(), _l2, W, C)
+    _, s_fast = _episode(xs, FastOnlyPolicy())
+    _, s_oracle = _episode(xs, OraclePolicy())
     assert s_oracle.cumulative_reward >= s_fast.cumulative_reward
 
 
@@ -180,74 +184,59 @@ def test_oracle_dominates_every_policy_per_step():
         FastOnlyPolicy(),
         SlowOnlyPolicy(),
         RandomPolicy(99),
-        BoundThresholdPolicy(lambda y: 0.05 * float(y @ y)),
+        BoundThresholdPolicy(lambda y: 0.05 * np.vecdot(y, y)),
         OraclePolicy(),
     ]
-    all_records = [run_episode(xs, _fast, _slow, p, _l2, W, C)[0] for p in policies]
-    oracle_records = all_records[-1]
-    for other in all_records[:-1]:
-        for r_o, r_p in zip(oracle_records, other):
-            assert r_o.reward >= r_p.reward
+    logs = [_episode(xs, p)[0] for p in policies]
+    for other in logs[:-1]:
+        assert np.all(logs[-1].reward >= other.reward)
 
 
 def test_reward_decomposition():
     xs = _stream(2000, seed=21)
-    records, summary = run_episode(xs, _fast, _slow, RandomPolicy(4), _l2, W, C)
-    losses = math.fsum(r.loss_realized for r in records)
-    costs = math.fsum(r.cost_incurred for r in records)
+    log, summary = _episode(xs, RandomPolicy(4))
+    losses = math.fsum(r.loss_realized for r in log)
+    costs = math.fsum(r.cost_incurred for r in log)
     expected = -W.alpha * losses - W.beta * costs
     assert abs(summary.cumulative_reward - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_step_record_cost_invariant():
     xs = _stream(100, seed=8)
-    records, _ = run_episode(xs, _fast, _slow, RandomPolicy(12), _l2, W, C)
-    for r in records:
+    log, _ = _episode(xs, RandomPolicy(12))
+    assert len(log) == 100
+    for t, r in enumerate(log):
         expected = 3.5 if r.action == Action.INVOKE_SLOW else 1.0
+        assert r.t == t
         assert r.cost_incurred == expected
         assert r.reward == step_reward(r.action, r.loss_realized, W, C)
 
 
 def test_episode_error_carries_step_index():
-    def flaky(x):
-        if flaky.count == 3:
-            raise RuntimeError("boom")
-        flaky.count += 1
-        return x
+    def broken(xs):
+        raise RuntimeError("boom")
 
-    flaky.count = 0
-    with pytest.raises(EpisodeError) as exc_info:
-        run_episode(_stream(10), flaky, _slow, FastOnlyPolicy(), _l2, W, C)
-    assert exc_info.value.step == 3
-    assert exc_info.value.which == "fast"
-
-    def bad_slow(x):
-        raise RuntimeError("slow down")
-
-    with pytest.raises(EpisodeError) as exc_info:
-        run_episode(_stream(10), _fast, bad_slow, SlowOnlyPolicy(), _l2, W, C)
-    assert exc_info.value.step == 0
-    assert exc_info.value.which == "slow"
+    for which, models in (("fast", (broken, _slow)), ("slow", (_fast, broken))):
+        with pytest.raises(EpisodeError) as exc_info:
+            evaluate_stream(_stream(10), *models, _l2)
+        # one call evaluates the whole stream, so the failure is at its first step
+        assert exc_info.value.step == 0
+        assert exc_info.value.which == which
+        assert isinstance(exc_info.value.__cause__, RuntimeError)
 
 
 def test_summarize_infinite_rewards():
     xs = _stream(5, seed=1)
-
-    def far(x):
-        return x + 100.0
-
-    records, summary = run_episode(
-        xs, far, _slow, FastOnlyPolicy(), lambda a, b: math.inf, W, C
-    )
+    log, summary = _episode(xs, FastOnlyPolicy(), fast=lambda x: x + 100.0, loss=lambda a, b: np.full(len(a), math.inf))
     assert summary.cumulative_reward == -math.inf
     assert summary.mean_loss == math.inf
-    assert all(r.reward == -math.inf for r in records)
+    assert all(r.reward == -math.inf for r in log)
 
 
 def test_summarize_matches_records():
     xs = _stream(64, seed=9)
-    records, summary = run_episode(xs, _fast, _slow, RandomPolicy(1), _l2, W, C)
-    again = summarize(records)
-    assert again == summary
-    n_slow = sum(1 for r in records if r.action == Action.INVOKE_SLOW)
-    assert summary.slow_query_fraction == n_slow / len(records)
+    log, summary = _episode(xs, RandomPolicy(1))
+    assert summarize(log) == summary
+    assert summarize(list(log)) == summary  # the rover summarizes StepRecord lists
+    n_slow = sum(1 for r in log if r.action == Action.INVOKE_SLOW)
+    assert summary.slow_query_fraction == n_slow / len(log)

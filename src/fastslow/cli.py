@@ -71,7 +71,8 @@ def main(argv=None) -> int:
             for policy in POLICY_ORDER:
                 if policy in report.aggregates:
                     m = report.aggregates[policy]["cumulative_reward"]
-                    print(f"{policy:14s} mean cumulative reward {m['mean']:.6g} (std {m['std']:.3g})")
+                    std = "n/a" if m["std"] is None else f"{m['std']:.3g}"
+                    print(f"{policy:14s} mean cumulative reward {m['mean']:.6g} (std {std})")
             print(f"outputs in {cfg.out_dir}")
             if args.check:
                 try:

@@ -54,6 +54,8 @@ class ProxyPair:
     corruption_seed: int
 
     def __post_init__(self) -> None:
+        if self.n_outputs < 1:
+            raise ValueError(f"n_outputs must be >= 1, got {self.n_outputs}")
         if not self.out_center > self.out_spread > 0:
             raise ValueError(f"out_spread must be in (0, out_center {self.out_center}), got {self.out_spread}")
 

@@ -10,7 +10,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -23,6 +22,7 @@ from . import charts
 from .dnnproxy import ProbabilisticBound, expected_loss_bound_dnn, make_proxy_pair
 from .linreg import InputDistribution, bound_scale_lr, generate_coreset_pair, loss_bound_lr, loss_l2
 from .policy import (
+    Action,
     BoundThresholdPolicy,
     CostSchedule,
     EpisodeLog,
@@ -34,7 +34,9 @@ from .policy import (
     evaluate_stream,
     run_episode,
 )
-from .rover import AUG_DIM, RoverScenario, calibrate_scenario, load_scenario, run_navigation
+from .rover import (
+    AUG_DIM, RoverScenario, calibrate_scenario, evaluate_navigation, load_scenario, nominal_rollout, run_navigation,
+)
 from .schema import ConfigError, merge
 from .seeding import CALIB_SEED_TAG, INPUT_TAG, LR_CALIB_TAG, PAIR_TAG, RANDOM_TAG, derive_seed, rng_for
 
@@ -270,8 +272,8 @@ def aggregate_rows(per_trial: list[dict]) -> dict:
         for metric in METRICS:
             vals = np.array([float(r[metric]) for r in rows])
             mean = float(np.mean(vals))
-            # std of a set containing infinities is undefined; report nan
-            std = float(np.std(vals)) if np.all(np.isfinite(vals)) else math.nan
+            # std of a set containing infinities is undefined; JSON null
+            std = float(np.std(vals)) if np.all(np.isfinite(vals)) else None
             out[policy][metric] = {"mean": mean, "std": std}
     return out
 
@@ -321,14 +323,19 @@ def _prediction_trial(scenario: str, block: dict, trial_seed: int, n_steps: int)
     return stream, lambda y: expected_loss_bound_dnn(y, bound)
 
 
+def _policies(trial_seed: int, bound_fn) -> tuple:
+    """The five policies of one trial, in POLICY_ORDER; the selector compares
+    `bound_fn` of the fast outputs against the threshold."""
+    return (
+        FastOnlyPolicy(), SlowOnlyPolicy(), RandomPolicy(derive_seed(trial_seed, RANDOM_TAG)),
+        BoundThresholdPolicy(bound_fn), OraclePolicy(),
+    )
+
+
 def _run_prediction_suite(cfg: ExperimentConfig, steps_file, per_trial: list[dict]) -> None:
     for trial, trial_seed in enumerate(cfg.seeds):
         stream, bound_fn = _prediction_trial(cfg.scenario, cfg.block, trial_seed, cfg.n_steps)
-        policies = (
-            FastOnlyPolicy(), SlowOnlyPolicy(), RandomPolicy(derive_seed(trial_seed, RANDOM_TAG)),
-            BoundThresholdPolicy(bound_fn), OraclePolicy(),
-        )
-        for policy in policies:  # in POLICY_ORDER
+        for policy in _policies(trial_seed, bound_fn):
             log, summary = run_episode(stream, policy, cfg.weights, cfg.costs)
             _write_steps(steps_file, "-", trial, policy.name, log)
             per_trial.append(_summary_row("-", trial, policy.name, summary))
@@ -336,38 +343,38 @@ def _run_prediction_suite(cfg: ExperimentConfig, steps_file, per_trial: list[dic
 
 
 def _write_trajectory_rows(writer, map_name, trial, policy, nav) -> None:
-    n_records = len(nav.records)
+    log = nav.records
+    actions, losses, rewards = log.action.tolist(), log.loss.tolist(), log.reward.tolist()
     for i, s in enumerate(nav.states):
-        if i < n_records:
-            r = nav.records[i]
-            extra = [int(r.action), _rel(r.loss_realized), _rel(r.reward)]
-        else:
-            extra = ["", "", ""]
+        extra = [actions[i], _rel(losses[i]), _rel(rewards[i])] if i < len(log) else ["", "", ""]
         writer.writerow([map_name, trial, policy, i, _rel(s.x), _rel(s.y), _rel(s.yaw), _rel(s.v)] + extra)
 
 
-def _write_reach_rows(writer, map_name, trial, policy, nav) -> None:
-    for step in nav.steps:
-        for model, result in (("fast", step.fast_result), ("slow", step.slow_result)):
-            if result is None:
-                continue
+def _write_reach_rows(writer, map_name, trial, policy, evaluation, nav) -> None:
+    """The fast boxes of every decision and the slow boxes where the action was slow."""
+    for t, action in enumerate(nav.records.action.tolist()):
+        results = [("fast", evaluation.fast[t])]
+        if action == Action.INVOKE_SLOW:
+            results.append(("slow", evaluation.slow[t]))
+        for model, result in results:
             for k, box in enumerate(result.boxes, start=1):
                 writer.writerow(
-                    [map_name, trial, policy, step.t, model, k]
+                    [map_name, trial, policy, t, model, k]
                     + [_rel(v) for v in box.lo]
                     + [_rel(v) for v in box.hi]
                 )
 
 
 def _calibrated_maps(cfg: ExperimentConfig):
-    """(scenario, calibration artifact) for each configured map, in order."""
+    """(scenario, rollout, calibration artifact) for each configured map, in order."""
     repeats = cfg.block["calibration_repeats"]
     for map_index, map_spec in enumerate(cfg.block["maps"]):
         scn = resolve_map(map_spec, cfg.base_dir)
+        rollout = nominal_rollout(scn)
         calib_seed = derive_seed(cfg.seed, CALIB_SEED_TAG, map_index)
-        calib = calibrate_scenario(scn, calib_seed, repeats=repeats)
+        calib = calibrate_scenario(scn, rollout, calib_seed, repeats=repeats)
         provenance = {"seed": calib_seed, "repeats": repeats, "n_pairs": calib.n_pairs, "config_digest": cfg.digest()}
-        yield scn, {"map": scn.name, "mu": calib.mu, "epsilon": calib.epsilon, "provenance": provenance}
+        yield scn, rollout, {"map": scn.name, "mu": calib.mu, "epsilon": calib.epsilon, "provenance": provenance}
 
 
 def _run_rover_suite(
@@ -384,16 +391,17 @@ def _run_rover_suite(
             + [f"lo{i}" for i in range(AUG_DIM)]
             + [f"hi{i}" for i in range(AUG_DIM)]
         )
-        for scn, artifact in _calibrated_maps(cfg):
+        for scn, rollout, artifact in _calibrated_maps(cfg):
             calibrations.append(artifact)
             for trial, trial_seed in enumerate(cfg.seeds):
-                for policy_name in POLICY_ORDER:
-                    nav = run_navigation(scn, policy_name, trial_seed, bloat_mu=artifact["mu"])
-                    _write_steps(steps_file, scn.name, trial, policy_name, EpisodeLog.from_records(nav.records))
-                    _write_trajectory_rows(traj_writer, scn.name, trial, policy_name, nav)
+                evaluation = evaluate_navigation(scn, rollout, trial_seed, artifact["mu"])
+                for policy in _policies(trial_seed, lambda verdict: verdict):
+                    nav = run_navigation(evaluation, policy)
+                    _write_steps(steps_file, scn.name, trial, policy.name, nav.records)
+                    _write_trajectory_rows(traj_writer, scn.name, trial, policy.name, nav)
                     if trial == 0:
-                        _write_reach_rows(reach_writer, scn.name, trial, policy_name, nav)
-                    row = _summary_row(scn.name, trial, policy_name, nav.summary)
+                        _write_reach_rows(reach_writer, scn.name, trial, policy.name, evaluation, nav)
+                    row = _summary_row(scn.name, trial, policy.name, nav.summary)
                     per_trial.append(dict(row, reached_goal=nav.reached_goal, flagged_unsafe=nav.flagged_unsafe))
                 steps_file.flush()
     (out / "calibration.json").write_text(json.dumps(calibrations, sort_keys=True, indent=1))
@@ -491,7 +499,7 @@ def calibrate(cfg: ExperimentConfig, out_path: Path | None = None) -> list[dict]
     if cfg.scenario != "rover":
         raise ConfigError("calibrate applies to rover configs only")
     normalize(cfg.config)  # the block may have changed since cfg was built
-    artifacts = [artifact for _, artifact in _calibrated_maps(cfg)]
+    artifacts = [artifact for _, _, artifact in _calibrated_maps(cfg)]
     if out_path is not None:
         Path(out_path).write_text(json.dumps(artifacts, sort_keys=True, indent=1))
     return artifacts

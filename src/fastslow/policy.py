@@ -174,11 +174,14 @@ def policy_oracle(loss_fast: float, loss_slow: float, weights: RewardWeights, co
 
 @dataclass(frozen=True, eq=False)
 class EvaluatedStream:
-    """An input stream scored once: the fast output of every input and the
-    loss of keeping it, which the slow output, the ground truth, defines."""
+    """An input stream scored once: the fast output of every input, the loss
+    of keeping it and the loss of offloading it. In the prediction suites the
+    slow output is the ground truth, so offloading loses 0; the rover's fast
+    output is the verdict of its bloated fast reach sets."""
 
-    y_fast: np.ndarray  # (T, m)
+    y_fast: np.ndarray  # (T, m), or the rover's (T,) verdicts
     loss_fast: np.ndarray  # (T,)
+    loss_slow: np.ndarray  # (T,)
 
     def __len__(self) -> int:
         return len(self.loss_fast)
@@ -195,7 +198,8 @@ def evaluate_stream(inputs, fast_model: Callable, slow_model: Callable, loss_fn:
             outputs.append(np.asarray(model(inputs), dtype=float))
         except Exception as exc:
             raise EpisodeError(0, which) from exc
-    return EvaluatedStream(outputs[0], np.asarray(loss_fn(*outputs), dtype=float))
+    loss = np.asarray(loss_fn(*outputs), dtype=float)
+    return EvaluatedStream(outputs[0], loss, np.zeros_like(loss))
 
 
 # Each policy decides a whole stream at once: decide(stream, weights, costs)
@@ -231,14 +235,17 @@ class RandomPolicy:
 
 
 class OraclePolicy:
-    """policy_oracle on every step: it compares the fast loss it may not see."""
+    """policy_oracle on every step: it compares the losses it may not see. The
+    figure it logs is the loss that offloading saves, 0 where it saves none."""
 
     name = "oracle"
 
     def decide(self, stream: EvaluatedStream, weights: RewardWeights, costs: CostSchedule):
-        gain = stream.loss_fast
-        r_slow = step_reward(Action.INVOKE_SLOW, 0.0, weights, costs)
-        return (r_slow > step_reward(Action.USE_FAST, gain, weights, costs)).astype(int), gain
+        r_slow = step_reward(Action.INVOKE_SLOW, stream.loss_slow, weights, costs)
+        r_fast = step_reward(Action.USE_FAST, stream.loss_fast, weights, costs)
+        saves = stream.loss_slow < stream.loss_fast
+        gain = np.subtract(stream.loss_fast, stream.loss_slow, out=np.zeros(len(stream)), where=saves)
+        return (r_slow > r_fast).astype(int), gain
 
 
 class BoundThresholdPolicy:
@@ -268,28 +275,33 @@ def summarize(log: EpisodeLog | Iterable[StepRecord]) -> EpisodeSummary:
     return EpisodeSummary(cumulative, total_cost, mean_loss, n_slow / n, n)
 
 
-def run_episode(
-    stream: EvaluatedStream, policy, weights: RewardWeights, costs: CostSchedule
-) -> tuple[EpisodeLog, EpisodeSummary]:
-    """Decide every step of an evaluated stream under one policy.
+def score_episode(
+    stream: EvaluatedStream, action: np.ndarray, bound: np.ndarray, weights: RewardWeights, costs: CostSchedule
+) -> EpisodeLog:
+    """The log of one policy's decisions on an evaluated stream.
 
     The fast model ran at every step (the policy sees its output and its cost
-    is always charged). The slow model's output is the ground truth, so the
-    realized loss is the fast loss when keeping the fast result and exactly 0
-    after offloading; c_slow is charged only on the offloaded steps.
+    is always charged). An offloaded step realizes the slow loss and adds
+    c_slow; a kept one realizes the fast loss.
     """
-    action, bound = policy.decide(stream, weights, costs)
     slow = action == Action.INVOKE_SLOW
-    log = EpisodeLog(
+    return EpisodeLog(
         np.arange(len(stream)),
         action,
-        np.where(slow, 0.0, stream.loss_fast),
+        np.where(slow, stream.loss_slow, stream.loss_fast),
         np.where(slow, step_cost(Action.INVOKE_SLOW, costs), step_cost(Action.USE_FAST, costs)),
         np.where(
             slow,
-            step_reward(Action.INVOKE_SLOW, 0.0, weights, costs),
+            step_reward(Action.INVOKE_SLOW, stream.loss_slow, weights, costs),
             step_reward(Action.USE_FAST, stream.loss_fast, weights, costs),
         ),
         bound,
     )
+
+
+def run_episode(
+    stream: EvaluatedStream, policy, weights: RewardWeights, costs: CostSchedule
+) -> tuple[EpisodeLog, EpisodeSummary]:
+    """Decide and score every step of an evaluated stream under one policy."""
+    log = score_episode(stream, *policy.decide(stream, weights, costs), weights, costs)
     return log, summarize(log)

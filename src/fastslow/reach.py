@@ -223,16 +223,6 @@ class ReachResult:
     def horizon(self) -> int:
         return len(self.boxes)
 
-    def to_csv(self) -> str:
-        """One row per timestep: timestep, lo..., hi... (for plotting)."""
-        dim = self.boxes[0].dim if self.boxes else 0
-        header = ["timestep"] + [f"lo{i}" for i in range(dim)] + [f"hi{i}" for i in range(dim)]
-        lines = [",".join(header)]
-        for k, box in enumerate(self.boxes, start=1):
-            values = [str(k)] + [repr(float(v)) for v in box.lo] + [repr(float(v)) for v in box.hi]
-            lines.append(",".join(values))
-        return "\n".join(lines) + "\n"
-
 
 def sample_matrix(lam: IntervalMatrix, rng: np.random.Generator) -> np.ndarray:
     """One matrix with every entry drawn independently and uniformly from its

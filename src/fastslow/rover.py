@@ -1,7 +1,8 @@
 """Simulated rover navigation: nonlinear kinematic bicycle ground truth,
 per-step linearization with multiplicative yaw-row uncertainty, spline
 reference tracking with finite-horizon LQ control, and per-step safety
-assessment through the reachability selection policy.
+assessment: one rollout per map, one fast and one slow reachability
+evaluation per trial, and the shared policies deciding over it.
 """
 from __future__ import annotations
 
@@ -14,15 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .policy import (
-    Action,
     CostSchedule,
+    EpisodeLog,
     EpisodeSummary,
+    EvaluatedStream,
     RewardWeights,
     StepRecord,
-    policy_oracle,
-    policy_random,
-    step_cost,
-    step_reward,
+    score_episode,
     summarize,
 )
 from .reach import (
@@ -41,7 +40,6 @@ from .schema import ConfigError, merge
 from .seeding import ROVER_CALIB_TAG, role_rng, rng_for
 from .spline import ReferencePath, cubic_spline_plan
 
-POLICY_KINDS = ("fast", "slow", "random", "our_selector", "oracle")
 AUG_DIM = 6  # (x, y, yaw, v) plus the two planned controls
 
 
@@ -91,7 +89,7 @@ class RoverParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 <= self.yaw_uncertainty < 1:
-            raise ValueError("yaw uncertainty must lie in [0, 1)")
+            raise ValueError("yaw_uncertainty must lie in [0, 1)")
 
 
 def bicycle_step(s: RoverState, u: RoverControl, p: RoverParams) -> RoverState:
@@ -331,171 +329,134 @@ class RoverScenario:
         return self.waypoints[-1]
 
 
-@dataclass
-class NavStep:
-    """One consulted decision during navigation."""
+@dataclass(frozen=True, eq=False)
+class RolloutStep:
+    """One decision point: the state, the first planned control (executed
+    unless the episode stops here), and the uncertain augmented dynamics and
+    start box that the reachability routines assess."""
 
-    t: int
     state: RoverState
     control: RoverControl
-    action: Action
-    loss: float
-    reward: float
     dynamics: IntervalMatrix
     start_box: Box
-    fast_result: ReachResult
-    slow_result: ReachResult | None
+
+
+@dataclass(frozen=True, eq=False)
+class Rollout:
+    """The scenario driven with no safety checks. The path does not depend on
+    the policy until an episode stops, so one rollout per map serves the
+    calibration and every episode on the map."""
+
+    steps: list[RolloutStep]
+    end_state: RoverState  # after the last step: at the goal or at the step cap
+    reached_goal: bool
+
+
+def nominal_rollout(scn: RoverScenario) -> Rollout:
+    """Per step until the goal or the step cap: plan controls, linearize,
+    build the uncertain augmented dynamics, and execute the first control."""
+    ref = scn.reference()
+    state = scn.initial_state
+    goal = scn.goal()
+    steps: list[RolloutStep] = []
+    for _ in range(scn.step_cap):
+        if math.hypot(state.x - goal[0], state.y - goal[1]) <= scn.goal_tolerance:
+            return Rollout(steps, state, True)
+        controls = mpc_track(ref, state, scn.mpc_horizon, scn.params, scn.cruise_speed)
+        u0 = controls[0]
+        A, B = linearize(state, u0, scn.params)
+        lam = build_uncertain_dynamics(
+            A, B, controls, scn.params.yaw_uncertainty,
+            horizon=scn.reach_horizon, perturb_rows=scn.perturb_rows,
+        )
+        steps.append(RolloutStep(state, u0, lam, augmented_start(state, u0)))
+        state = bicycle_step(state, u0, scn.params)
+    return Rollout(steps, state, False)
+
+
+@dataclass(frozen=True, eq=False)
+class NavEvaluation:
+    """One trial's reachability along a rollout: per step the fast and the
+    slow result, and as a stream the verdicts (0 safe, inf unsafe) of the
+    bloated fast sets and of the slow sets."""
+
+    scenario: RoverScenario
+    rollout: Rollout
+    fast: list[ReachResult]
+    slow: list[ReachResult]
+    stream: EvaluatedStream
+
+
+def evaluate_navigation(scn: RoverScenario, rollout: Rollout, seed: int, bloat_mu: float = 0.0) -> NavEvaluation:
+    """Run both reachability routines at every rollout step, with randomness
+    keyed by (seed, step, role), up to the first step that both verdicts call
+    unsafe: every policy has stopped by then."""
+    fast, slow, loss_fast, loss_slow = [], [], [], []
+    for t, step in enumerate(rollout.steps):
+        fast.append(reach_sampled(step.dynamics, step.start_box, scn.fast_cfg, role_rng(seed, t, "fast")))
+        slow.append(reach_sampled(step.dynamics, step.start_box, scn.slow_cfg, role_rng(seed, t, "slow")))
+        loss_fast.append(loss_nav([bloat(b, bloat_mu) for b in fast[-1].boxes], scn.obstacles))
+        loss_slow.append(loss_nav(slow[-1].boxes, scn.obstacles))
+        if loss_fast[-1] == loss_slow[-1] == math.inf:
+            break
+    verdict = np.array(loss_fast, dtype=float)
+    return NavEvaluation(scn, rollout, fast, slow, EvaluatedStream(verdict, verdict, np.array(loss_slow, dtype=float)))
 
 
 @dataclass
 class NavigationResult:
     states: list[RoverState]
-    steps: list[NavStep]
-    records: list[StepRecord]
+    records: EpisodeLog  # one row per decision
     summary: EpisodeSummary
     reached_goal: bool
     flagged_unsafe: bool
     hit_step_cap: bool
 
+    @property
+    def steps(self) -> list[StepRecord]:
+        """The decisions row by row."""
+        return list(self.records)
+
     def trajectory(self) -> np.ndarray:
         return np.array([s.as_vector() for s in self.states])
 
 
-def _decide(
-    kind: str,
-    fast_bloated: list[Box],
-    slow_boxes_fn,
-    unsafe: UnsafeSet,
-    weights: RewardWeights,
-    costs: CostSchedule,
-    rng_policy,
-) -> tuple[Action, float]:
-    """Action plus the gain figure the policy compared (inf/0 in this 0-or-inf
-    loss setting)."""
-    if kind == "fast":
-        return Action.USE_FAST, 0.0
-    if kind == "slow":
-        return Action.INVOKE_SLOW, 0.0
-    if kind == "random":
-        return policy_random(rng_policy), 0.0
-    fast_hit = loss_nav(fast_bloated, unsafe)
-    if kind == "our_selector":
-        return (Action.INVOKE_SLOW, math.inf) if fast_hit == math.inf else (Action.USE_FAST, 0.0)
-    if kind == "oracle":
-        loss_slow = loss_nav(slow_boxes_fn(), unsafe)
-        action = policy_oracle(fast_hit, loss_slow, weights, costs)
-        gain = math.inf if (fast_hit == math.inf and loss_slow == 0.0) else 0.0
-        return action, gain
-    raise ValueError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
+def run_navigation(evaluation: NavEvaluation, policy) -> NavigationResult:
+    """Drive the rover along the rollout under one selection policy.
 
-
-def run_navigation(
-    scn: RoverScenario,
-    policy_kind: str,
-    seed: int,
-    bloat_mu: float = 0.0,
-) -> NavigationResult:
-    """Drive the rover along the planned path under one selection policy.
-
-    Per decision step: plan controls, linearize, build the uncertain
-    augmented dynamics, run the fast reachability (always), pick the model
-    per the policy, and score the consulted verdict. A safe verdict lets the
-    first planned control execute; an unsafe one triggers a full stop at
-    maximum deceleration and flags the episode. Randomness is keyed by
-    (seed, step, role), so two policies that make the same decisions see
-    bit-identical reachable sets.
+    The policy decides every evaluated step and the realized loss is the
+    verdict of the routine it consulted. A safe verdict lets the first
+    planned control execute; the first unsafe one triggers a full stop at
+    maximum deceleration and flags the episode.
     """
-    if policy_kind not in POLICY_KINDS:
-        raise ValueError(f"unknown policy kind {policy_kind!r}; expected one of {POLICY_KINDS}")
-    ref = scn.reference()
-    unsafe = scn.obstacles
-    state = scn.initial_state
-    goal = scn.goal()
-    states = [state]
-    steps: list[NavStep] = []
-    records: list[StepRecord] = []
-    reached = False
-    flagged = False
-    for t in range(scn.step_cap):
-        if math.hypot(state.x - goal[0], state.y - goal[1]) <= scn.goal_tolerance:
-            reached = True
-            break
-        controls = mpc_track(ref, state, scn.mpc_horizon, scn.params, scn.cruise_speed)
-        u0 = controls[0]
-        A, B = linearize(state, u0, scn.params)
-        lam = build_uncertain_dynamics(
-            A, B, controls, scn.params.yaw_uncertainty,
-            horizon=scn.reach_horizon, perturb_rows=scn.perturb_rows,
-        )
-        z0 = augmented_start(state, u0)
-        fast_result = reach_sampled(lam, z0, scn.fast_cfg, role_rng(seed, t, "fast"))
-        fast_bloated = [bloat(b, bloat_mu) for b in fast_result.boxes]
-
-        slow_result: ReachResult | None = None
-
-        def slow_boxes():
-            nonlocal slow_result
-            if slow_result is None:
-                slow_result = reach_sampled(lam, z0, scn.slow_cfg, role_rng(seed, t, "slow"))
-            return slow_result.boxes
-
-        action, gain = _decide(
-            policy_kind, fast_bloated, slow_boxes, unsafe, scn.weights, scn.costs,
-            role_rng(seed, t, "policy"),
-        )
-        consulted = slow_boxes() if action == Action.INVOKE_SLOW else fast_bloated
-        loss = loss_nav(consulted, unsafe)
-        cost = step_cost(action, scn.costs)
-        reward = step_reward(action, loss, scn.weights, scn.costs)
-        records.append(StepRecord(t, action, loss, cost, reward, gain))
-        steps.append(
-            NavStep(t, state, u0, action, loss, reward, lam, z0, fast_result, slow_result)
-        )
-        if loss == math.inf:
-            flagged = True
-            # Full stop: maximum deceleration, wheels straight.
-            brake = RoverControl(-scn.params.accel_max, 0.0)
-            while state.v > 0.0:
-                state = bicycle_step(state, brake, scn.params)
-                states.append(state)
-            break
-        state = bicycle_step(state, u0, scn.params)
-        states.append(state)
-    hit_cap = not reached and not flagged
-    return NavigationResult(states, steps, records, summarize(records), reached, flagged, hit_cap)
+    scn, rollout, stream = evaluation.scenario, evaluation.rollout, evaluation.stream
+    log = score_episode(stream, *policy.decide(stream, scn.weights, scn.costs), scn.weights, scn.costs)
+    stops = np.flatnonzero(log.loss == math.inf)
+    flagged = stops.size > 0
+    n = int(stops[0]) + 1 if flagged else len(log)
+    log = EpisodeLog(*(col[:n] for col in log.columns()))
+    states = [step.state for step in rollout.steps[:n]]
+    if flagged:
+        # Full stop: maximum deceleration, wheels straight.
+        brake = RoverControl(-scn.params.accel_max, 0.0)
+        state = states[-1]
+        while state.v > 0.0:
+            state = bicycle_step(state, brake, scn.params)
+            states.append(state)
+    else:
+        states.append(rollout.end_state)
+    reached = rollout.reached_goal and not flagged
+    return NavigationResult(states, log, summarize(log), reached, flagged, not reached and not flagged)
 
 
-def nominal_rollout(scn: RoverScenario) -> list[tuple[IntervalMatrix, Box]]:
-    """Drive the scenario with no safety checks and collect the per-step
-    uncertain dynamics and start boxes (the calibration family)."""
-    ref = scn.reference()
-    state = scn.initial_state
-    goal = scn.goal()
-    out: list[tuple[IntervalMatrix, Box]] = []
-    for _ in range(scn.step_cap):
-        if math.hypot(state.x - goal[0], state.y - goal[1]) <= scn.goal_tolerance:
-            break
-        controls = mpc_track(ref, state, scn.mpc_horizon, scn.params, scn.cruise_speed)
-        u0 = controls[0]
-        A, B = linearize(state, u0, scn.params)
-        lam = build_uncertain_dynamics(
-            A, B, controls, scn.params.yaw_uncertainty,
-            horizon=scn.reach_horizon, perturb_rows=scn.perturb_rows,
-        )
-        out.append((lam, augmented_start(state, u0)))
-        state = bicycle_step(state, u0, scn.params)
-    return out
-
-
-def calibrate_scenario(scn: RoverScenario, seed: int, repeats: int = 2) -> CalibrationResult:
-    """Paired fast/slow reachability along the nominal trajectory; returns the
-    minimum bloat radius that makes every slow set fit."""
-    family = nominal_rollout(scn)
+def calibrate_scenario(scn: RoverScenario, rollout: Rollout, seed: int, repeats: int = 2) -> CalibrationResult:
+    """Paired fast/slow reachability along the rollout; returns the minimum
+    bloat radius that makes every slow set fit."""
     pairs = []
-    for i, (lam, z0) in enumerate(family):
+    for i, step in enumerate(rollout.steps):
         for r in range(repeats):
-            fast = reach_sampled(lam, z0, scn.fast_cfg, rng_for(seed, ROVER_CALIB_TAG, i, r, 0))
-            slow = reach_sampled(lam, z0, scn.slow_cfg, rng_for(seed, ROVER_CALIB_TAG, i, r, 1))
+            fast = reach_sampled(step.dynamics, step.start_box, scn.fast_cfg, rng_for(seed, ROVER_CALIB_TAG, i, r, 0))
+            slow = reach_sampled(step.dynamics, step.start_box, scn.slow_cfg, rng_for(seed, ROVER_CALIB_TAG, i, r, 1))
             pairs.append((fast, slow))
     return calibrate_bloat(pairs)
 
@@ -563,6 +524,10 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
         if not csv_path.exists():
             raise ConfigError(f"points_csv: file not found: {csv_path}")
         boxes += obstacles_from_points(load_points_csv(csv_path), d["cell_size"])
+    try:  # RoverParams' errors name the parameter first
+        params = RoverParams(**d["params"])
+    except ValueError as exc:
+        raise ConfigError(f"params.{str(exc).split()[0]}: {exc}") from exc
     return RoverScenario(
         obstacles=UnsafeSet(tuple(boxes), (0, 1)),
         initial_state=RoverState(**d["initial_state"]),
@@ -570,7 +535,7 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
         slow_cfg=slow_cfg,
         weights=RewardWeights(**d["weights"]),
         costs=CostSchedule(fast_cfg.cost, slow_cfg.cost),
-        params=RoverParams(**d["params"]),
+        params=params,
         perturb_rows=tuple(d["perturb_rows"]),
         **{k: d[k] for k in ("name", "waypoints", "goal_tolerance", "reach_horizon")},
         **{k: d[k] for k in ("cruise_speed", "mpc_horizon", "plan_ds", "step_cap")},

@@ -7,7 +7,8 @@ import numpy as np
 # so none may change or be reused for another stream.
 PAIR_TAG, INPUT_TAG, RANDOM_TAG, CALIB_SEED_TAG, LR_CALIB_TAG = 11, 12, 13, 14, 15
 ROVER_CALIB_TAG = 7001
-_ROLE_TAGS = {"policy": 2, "fast": 3, "slow": 4}
+# Role 2 keyed the rover's old per-step policy coin; it stays reserved.
+_ROLE_TAGS = {"fast": 3, "slow": 4}
 
 
 def derive_seed(root: int, *path: int) -> int:

@@ -32,7 +32,7 @@ from fastslow.reach import (
     reach_sampled,
     required_samples,
 )
-from fastslow.rover import RoverControl, RoverState, bicycle_step, linearize, run_navigation
+from fastslow.rover import RoverControl, RoverState, bicycle_step, linearize, nominal_rollout
 from fastslow.seeding import rng_for
 
 
@@ -214,17 +214,16 @@ def test_criterion_7_rover_safety_and_efficiency(tmp_path):
         assert means["oracle"] >= means["our_selector"]
         assert means["our_selector"] >= max(means["fast"], means["slow"], means["random"])
 
-    # post hoc: fresh slow reachable sets at every executed decision state
-    mu_by_map = {c["map"]: c["mu"] for c in report.calibration}
+    # post hoc: fresh slow reachable sets at every executed decision state; the
+    # selector's episodes follow the map's rollout for as many steps as they log
     intersections = 0
     for m_idx, map_name in enumerate(("obstacle_free", "obstacle_adjacent")):
         scn = resolve_map(map_name)
-        for t_idx, seed in enumerate(config_from_dict(dict(DEFAULTS["rover"])).seeds):
-            nav = run_navigation(scn, "our_selector", seed, bloat_mu=mu_by_map[map_name])
-            for step in nav.steps:
-                post = reach_sampled(
-                    step.dynamics, step.start_box, scn.slow_cfg, rng_for(707, m_idx, t_idx, step.t)
-                )
+        steps = nominal_rollout(scn).steps
+        sel = [r for r in report.per_trial if r["map"] == map_name and r["policy"] == "our_selector"]
+        for row in sel:
+            for t, step in enumerate(steps[: row["n_steps"]]):
+                post = reach_sampled(step.dynamics, step.start_box, scn.slow_cfg, rng_for(707, m_idx, row["trial"], t))
                 if loss_nav(post.boxes, scn.obstacles) != 0.0:
                     intersections += 1
     elapsed = time.monotonic() - t0

@@ -87,6 +87,13 @@ def test_map_with_wrong_params_type_names_the_field(tmp_path):
     _assert_config_error(rc, err, "params")
 
 
+def test_map_params_out_of_range_names_the_dotted_field(tmp_path):
+    map_path = tmp_path / "bad_map.json"
+    map_path.write_text(json.dumps(dict(MINI_MAP, params={"dt": 0})))
+    rc, err = _cli_with_config(_defaults("rover", rover={"maps": [str(map_path)]}), "rover")
+    _assert_config_error(rc, err, "params.dt")
+
+
 def test_empty_map_list_is_rejected():
     rc, err = _cli_with_config(_defaults("rover", rover={"maps": []}), "rover")
     _assert_config_error(rc, err, "rover.maps")
@@ -219,6 +226,7 @@ def test_bad_configs_exit_2_naming_the_field(scenario, mutation, data):
         ("dnn", "m_loss_cap", 0.0),
         ("dnn", "out_spread", 2.0),
         ("dnn", "input_scale", -1.0),
+        ("dnn", "n_outputs", 0),
     ],
 )
 def test_out_of_range_block_values_exit_2_naming_the_field(scenario, field, value):

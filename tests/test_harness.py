@@ -369,7 +369,13 @@ def test_aggregate_rows_over_policies():
     rows = [
         {"policy": "fast", "cumulative_reward": -1.0, "total_cost": 2.0, "mean_loss": 0.1, "slow_query_fraction": 0.0},
         {"policy": "fast", "cumulative_reward": -3.0, "total_cost": 2.0, "mean_loss": 0.3, "slow_query_fraction": 0.0},
+        {"policy": "slow", "cumulative_reward": -math.inf, "total_cost": 2.0, "mean_loss": math.inf, "slow_query_fraction": 1.0},
+        {"policy": "slow", "cumulative_reward": -1.0, "total_cost": 2.0, "mean_loss": 0.0, "slow_query_fraction": 1.0},
     ]
     agg = aggregate_rows(rows)
     assert agg["fast"]["cumulative_reward"]["mean"] == pytest.approx(-2.0)
     assert agg["fast"]["cumulative_reward"]["std"] == pytest.approx(1.0)
+    # the std of a non-finite set is JSON null, not NaN
+    assert agg["slow"]["cumulative_reward"] == {"mean": -math.inf, "std": None}
+    assert agg["slow"]["total_cost"] == {"mean": 2.0, "std": 0.0}
+    assert "NaN" not in json.dumps(agg)

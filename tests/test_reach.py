@@ -362,19 +362,6 @@ def test_interval_matrix_json_round_trip():
     assert np.array_equal(back.lo, lam.lo) and np.array_equal(back.hi, lam.hi)
 
 
-def test_reach_result_csv():
-    lam = example_interval_matrix()
-    cfg = StatReachConfig(0.8, 0.2, 2, 3)
-    res = reach_sampled(lam, Box.point([0.0, 1.0]), cfg, np.random.default_rng(15))
-    text = res.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "timestep,lo0,lo1,hi0,hi1"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == res.boxes[0].lo[0]
-
-
 def test_policy_soundness_on_calibration_scenarios():
     # Whenever the bloated fast verdict is safe, the slow set must be safe too
     # on the runs the calibration covered.

@@ -2,10 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastslow.harness import builtin_map_path
-from fastslow.policy import CostSchedule, RewardWeights
-from fastslow.reach import Box, StatReachConfig, UnsafeSet
+from fastslow.policy import (
+    Action,
+    BoundThresholdPolicy,
+    CostSchedule,
+    EpisodeLog,
+    FastOnlyPolicy,
+    OraclePolicy,
+    RewardWeights,
+    SlowOnlyPolicy,
+    StepRecord,
+    policy_oracle,
+    step_cost,
+    step_reward,
+    summarize,
+)
+from fastslow.reach import Box, StatReachConfig, UnsafeSet, bloat, loss_nav, reach_sampled
 from fastslow.rover import (
     DEFAULT_Q,
     DEFAULT_R,
@@ -13,18 +28,22 @@ from fastslow.rover import (
     RoverParams,
     RoverScenario,
     RoverState,
+    augmented_start,
     bicycle_step,
     build_tracking_problem,
     build_uncertain_dynamics,
+    evaluate_navigation,
     linearize,
     load_scenario,
     mpc_track,
+    nominal_rollout,
     obstacles_from_points,
     run_navigation,
     scenario_from_dict,
     tracking_cost,
     wrap_angle,
 )
+from fastslow.seeding import role_rng
 from fastslow.spline import cubic_spline_plan
 
 P = RoverParams(wheelbase=1.0, dt=0.1, v_max=2.0, steer_max=1.0, accel_max=1.0)
@@ -211,10 +230,10 @@ def test_mpc_validation():
         mpc_track(ref, RoverState(0, 0, 0, 1), 0, P)
 
 
-def _tiny_scenario(obstacles=(), step_cap=400):
+def _tiny_scenario(obstacles=(), step_cap=400, waypoints=((0.0, 0.0), (10.0, 0.0))):
     return RoverScenario(
         name="tiny",
-        waypoints=np.array([[0.0, 0.0], [10.0, 0.0]]),
+        waypoints=np.array(waypoints),
         obstacles=UnsafeSet(tuple(obstacles), (0, 1)),
         initial_state=RoverState(0.0, 0.0, 0.0, 0.0),
         goal_tolerance=0.6,
@@ -228,40 +247,138 @@ def _tiny_scenario(obstacles=(), step_cap=400):
     )
 
 
+POLICIES = {
+    "fast": FastOnlyPolicy,
+    "slow": SlowOnlyPolicy,
+    "our_selector": lambda: BoundThresholdPolicy(lambda verdict: verdict),
+    "oracle": OraclePolicy,
+}
+BLOCKING = Box(np.array([4.0, -1.0]), np.array([6.0, 1.0]))
+# On a bend the sampled yaw-row entries spread the reach sets, so the keyed
+# draws show in the boxes; the obstacle sits next to the bend.
+BEND = ((0.0, 0.0), (5.0, 0.0), (10.0, 3.0))
+NEAR_BEND = Box(np.array([6.5, 1.3]), np.array([7.5, 2.0]))
+
+
+def _navigate(scn, kind, seed, bloat_mu):
+    return run_navigation(evaluate_navigation(scn, nominal_rollout(scn), seed, bloat_mu), POLICIES[kind]())
+
+
 def test_navigation_reaches_goal_on_free_map():
-    nav = run_navigation(_tiny_scenario(), "our_selector", 7, bloat_mu=0.01)
+    nav = _navigate(_tiny_scenario(), "our_selector", 7, bloat_mu=0.01)
     assert nav.reached_goal and not nav.flagged_unsafe
     assert nav.summary.slow_query_fraction == 0.0
     assert nav.summary.mean_loss == 0.0
 
 
-def test_navigation_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        run_navigation(_tiny_scenario(), "greedy", 7)
-
-
 def test_navigation_trajectories_match_across_policies_when_safe():
     scn = _tiny_scenario()
-    nav_sel = run_navigation(scn, "our_selector", 11, bloat_mu=0.01)
-    nav_slow = run_navigation(scn, "slow", 11, bloat_mu=0.01)
-    nav_fast = run_navigation(scn, "fast", 11, bloat_mu=0.01)
+    nav_sel = _navigate(scn, "our_selector", 11, bloat_mu=0.01)
+    nav_slow = _navigate(scn, "slow", 11, bloat_mu=0.01)
+    nav_fast = _navigate(scn, "fast", 11, bloat_mu=0.01)
     t_sel = nav_sel.trajectory()
     assert np.array_equal(t_sel, nav_slow.trajectory())
     assert np.array_equal(t_sel, nav_fast.trajectory())
 
 
 def test_navigation_stops_and_flags_on_blocking_obstacle():
-    blocking = Box(np.array([4.0, -1.0]), np.array([6.0, 1.0]))
-    nav = run_navigation(_tiny_scenario([blocking]), "slow", 3, bloat_mu=0.0)
+    nav = _navigate(_tiny_scenario([BLOCKING]), "slow", 3, bloat_mu=0.0)
     assert nav.flagged_unsafe and not nav.reached_goal
     assert nav.states[-1].v == 0.0
-    assert nav.records[-1].loss_realized == math.inf
+    assert nav.records.loss[-1] == math.inf
     assert nav.summary.cumulative_reward == -math.inf
 
 
 def test_navigation_step_cap_reports_nonconvergence():
-    nav = run_navigation(_tiny_scenario(step_cap=5), "fast", 1, bloat_mu=0.0)
+    nav = _navigate(_tiny_scenario(step_cap=5), "fast", 1, bloat_mu=0.0)
     assert nav.hit_step_cap and not nav.reached_goal and not nav.flagged_unsafe
+
+
+# -- the per-step loop that one rollout per map replaced, kept as the reference --
+
+
+def _reference_decide(kind, fast_bloated, slow_boxes, unsafe, weights, costs):
+    if kind == "fast":
+        return Action.USE_FAST, 0.0
+    if kind == "slow":
+        return Action.INVOKE_SLOW, 0.0
+    fast_hit = loss_nav(fast_bloated, unsafe)
+    if kind == "our_selector":
+        return (Action.INVOKE_SLOW, math.inf) if fast_hit == math.inf else (Action.USE_FAST, 0.0)
+    loss_slow = loss_nav(slow_boxes(), unsafe)
+    gain = math.inf if (fast_hit == math.inf and loss_slow == 0.0) else 0.0
+    return policy_oracle(fast_hit, loss_slow, weights, costs), gain
+
+
+def _reference_navigation(scn, kind, seed, bloat_mu):
+    """Plan, linearize, reach and decide at every step of one episode; the
+    slow routine runs only when the decision needs it."""
+    ref = scn.reference()
+    state, goal = scn.initial_state, scn.goal()
+    states, records, reach = [state], [], []
+    reached = flagged = False
+    for t in range(scn.step_cap):
+        if math.hypot(state.x - goal[0], state.y - goal[1]) <= scn.goal_tolerance:
+            reached = True
+            break
+        controls = mpc_track(ref, state, scn.mpc_horizon, scn.params, scn.cruise_speed)
+        u0 = controls[0]
+        A, B = linearize(state, u0, scn.params)
+        lam = build_uncertain_dynamics(
+            A, B, controls, scn.params.yaw_uncertainty, horizon=scn.reach_horizon, perturb_rows=scn.perturb_rows
+        )
+        z0 = augmented_start(state, u0)
+        fast = reach_sampled(lam, z0, scn.fast_cfg, role_rng(seed, t, "fast"))
+        fast_bloated = [bloat(b, bloat_mu) for b in fast.boxes]
+        slow = []
+
+        def slow_boxes():
+            if not slow:
+                slow.append(reach_sampled(lam, z0, scn.slow_cfg, role_rng(seed, t, "slow")))
+            return slow[0].boxes
+
+        action, gain = _reference_decide(kind, fast_bloated, slow_boxes, scn.obstacles, scn.weights, scn.costs)
+        loss = loss_nav(slow_boxes() if action == Action.INVOKE_SLOW else fast_bloated, scn.obstacles)
+        reward = step_reward(action, loss, scn.weights, scn.costs)
+        records.append(StepRecord(t, action, loss, step_cost(action, scn.costs), reward, gain))
+        reach.append((fast, slow[0] if slow else None))
+        if loss == math.inf:
+            flagged = True
+            brake = RoverControl(-scn.params.accel_max, 0.0)
+            while state.v > 0.0:
+                state = bicycle_step(state, brake, scn.params)
+                states.append(state)
+            break
+        state = bicycle_step(state, u0, scn.params)
+        states.append(state)
+    return states, records, reach, reached, flagged
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    case=st.sampled_from(["free", "blocking", "step_cap", "bend"]),
+    seed=st.integers(0, 2**32 - 1),
+    bloat_mu=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+)
+def test_shared_rollout_reproduces_the_per_step_loop(case, seed, bloat_mu):
+    scn = {
+        "free": _tiny_scenario(),
+        "blocking": _tiny_scenario([BLOCKING]),
+        "step_cap": _tiny_scenario(step_cap=5),
+        "bend": _tiny_scenario([NEAR_BEND], waypoints=BEND),
+    }[case]
+    evaluation = evaluate_navigation(scn, nominal_rollout(scn), seed, bloat_mu)
+    for kind, make_policy in POLICIES.items():
+        nav = run_navigation(evaluation, make_policy())
+        states, records, reach, reached, flagged = _reference_navigation(scn, kind, seed, bloat_mu)
+        for got, want in zip(nav.records.columns(), EpisodeLog.from_records(records).columns()):
+            assert list(map(repr, got.tolist())) == list(map(repr, want.tolist())), kind
+        assert nav.summary == summarize(records), kind
+        assert list(map(repr, nav.states)) == list(map(repr, states)), kind
+        assert (nav.reached_goal, nav.flagged_unsafe, nav.hit_step_cap) == (reached, flagged, not (reached or flagged))
+        for t, (fast, slow) in enumerate(reach):
+            assert evaluation.fast[t].boxes == fast.boxes, (kind, t)
+            assert slow is None or evaluation.slow[t].boxes == slow.boxes, (kind, t)
 
 
 def test_obstacles_from_points_bins_cells():

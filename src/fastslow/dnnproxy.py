@@ -146,6 +146,9 @@ def make_proxy_pair(
     """Draw a fixed random smooth predictor and wrap it into a corrupted pair."""
     if not isinstance(bound, ProbabilisticBound):
         bound = ProbabilisticBound(*bound)
+    for field, size in (("n_inputs", n), ("n_features", n_features)):
+        if size < 1:
+            raise ValueError(f"{field} must be >= 1, got {size}")
     W = rng.standard_normal((n_features, n)) / length_scale
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
     C = rng.standard_normal((m, n_features))

@@ -130,6 +130,9 @@ def generate_coreset_pair(
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    for field, size in (("n_inputs", n), ("n_outputs", m)):
+        if size < 1:
+            raise ValueError(f"{field} must be >= 1, got {size}")
     A = np.abs(rng.standard_normal((m, n)))
     b = np.abs(rng.standard_normal(m)) * bias_weight
     row_total = A.sum(axis=1) + b

@@ -291,17 +291,18 @@ def reach_sampled(
 def _point_hulls(lo, rows, cols, draws, x0, horizon) -> list[Box]:
     """Per-timestep hulls of the trajectories x_{k+1} = A_s x_k from the point
     x0, where A_s is lo with entry (rows[e], cols[e]) set to draws[s, e]."""
-    # Samples run along the last axis so every row operation is contiguous.
+    # Samples run along the last axis. The steps reuse two state buffers: fresh
+    # (n, N) arrays go back to the OS on free and page-fault in again per call.
     fixed = lo.copy()
     fixed[rows, cols] = 0.0
-    draws = np.ascontiguousarray(draws.T)
-    x = np.repeat(x0[:, None], draws.shape[1], axis=1)
+    x = np.repeat(x0[:, None], draws.shape[0], axis=1)
+    nxt, term = np.empty_like(x), np.empty_like(x[0])
     boxes = []
     for _ in range(horizon):
-        nxt = fixed @ x
+        np.matmul(fixed, x, out=nxt)
         for e, (r, c) in enumerate(zip(rows, cols)):
-            nxt[r] += draws[e] * x[c]
-        x = nxt
+            nxt[r] += np.multiply(draws[:, e], x[c], out=term)
+        x, nxt = nxt, x
         boxes.append(Box(x.min(axis=1), x.max(axis=1)))
     return boxes
 

@@ -2,10 +2,10 @@
 chord length and sampled at a fixed arc step."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,50 @@ class ReferencePath:
         return float(self.s[int(np.argmin(d2))])
 
 
+def _natural_spline(x: np.ndarray, y: np.ndarray):
+    """The natural cubic spline through (x, y), as f(s, nu) giving its nu-th
+    derivative at s. It reproduces scipy's CubicSpline(x, y, bc_type="natural")
+    bit for bit: the same tridiagonal system for the knot slopes, solved as
+    LAPACK dgtsv solves it (row interchanges included), the same Hermite
+    coefficients, and PPoly's evaluation order."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # Sub-diagonal dl, diagonal d, super-diagonal du; end rows: zero curvature.
+    d = [2 * dx[0], *(2 * (dx[:-1] + dx[1:])).tolist(), 2 * dx[-1]]
+    du, dl = [dx[0], *dx[:-1].tolist()], [*dx[1:].tolist(), dx[-1]]
+    b = [3 * (y[1] - y[0]), *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(), 3 * (y[-1] - y[-2])]
+    # Elimination with partial pivoting, as dgtsv does it for one right-hand
+    # side; after an interchange, dl[i] holds the second superdiagonal.
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1], b[i + 1], dl[i] = d[i + 1] - fact * du[i], b[i + 1] - fact * b[i], 0.0
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:
+                dl[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    m = np.array(b)
+    t = (m[:-1] + m[1:] - 2 * slope) / dx
+    c = (t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])
+
+    def f(s: np.ndarray, nu: int = 0) -> np.ndarray:
+        i = np.clip(np.searchsorted(x, s, "right") - 1, 0, len(x) - 2)
+        h, res, z = s - x[i], 0.0, 1.0
+        for k in range(nu, 4):
+            res = res + c[3 - k][i] * z * float(math.perm(k, nu))
+            z = z * h
+        return res
+
+    return f
+
+
 def cubic_spline_plan(waypoints, ds: float) -> ReferencePath:
     """Natural cubic splines x(s), y(s) through the waypoints, sampled every ds.
 
@@ -59,8 +103,7 @@ def cubic_spline_plan(waypoints, ds: float) -> ReferencePath:
     if np.any(seg == 0.0):
         raise ValueError("duplicate consecutive waypoints")
     knots = np.concatenate([[0.0], np.cumsum(seg)])
-    sx = CubicSpline(knots, pts[:, 0], bc_type="natural")
-    sy = CubicSpline(knots, pts[:, 1], bc_type="natural")
+    sx, sy = _natural_spline(knots, pts[:, 0]), _natural_spline(knots, pts[:, 1])
 
     total = float(knots[-1])
     # Keep the knots among the samples so the path provably passes through

@@ -227,6 +227,10 @@ def test_bad_configs_exit_2_naming_the_field(scenario, mutation, data):
         ("dnn", "out_spread", 2.0),
         ("dnn", "input_scale", -1.0),
         ("dnn", "n_outputs", 0),
+        ("linreg", "n_inputs", 0),
+        ("linreg", "n_outputs", 0),
+        ("dnn", "n_inputs", 0),
+        ("dnn", "n_features", 0),
     ],
 )
 def test_out_of_range_block_values_exit_2_naming_the_field(scenario, field, value):

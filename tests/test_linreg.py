@@ -122,7 +122,11 @@ def test_bound_scale_matches_row_by_row_reference(seed):
 def test_bound_scale_is_zero_for_identity_scales_and_for_no_outputs():
     pair = CoresetPair.from_slow(_pair().slow, EPS, np.ones(4))
     assert bound_scale_lr(pair, _inputs(50, 3)) == 0.0
-    assert bound_scale_lr(_pair(m=0), _inputs(50, 3)) == 0.0
+    # generate_coreset_pair rejects zero outputs, so build that pair directly.
+    no_outputs = CoresetPair.from_slow(LinearModel(np.zeros((0, 3)), np.zeros(0)), EPS, np.ones(0))
+    assert bound_scale_lr(no_outputs, _inputs(50, 3)) == 0.0
+    with pytest.raises(ValueError, match="n_outputs"):
+        _pair(m=0)
 
 
 def test_select_lr_cases():

@@ -278,23 +278,27 @@ def aggregate_rows(per_trial: list[dict]) -> dict:
     return out
 
 
-def _rel(v: float) -> str:
-    return repr(float(v))
-
-
 STEPS_HEADER = ("map", "trial", "policy", "t", "action", "loss", "cost", "reward", "bound")
 
 
-def _write_steps(f, map_name: str, trial: int, policy: str, log: EpisodeLog) -> None:
-    """Append one episode to steps.csv, column by column. The bytes are those
-    csv.writer writes for rows of ints and float reprs."""
+def _csv_key(*fields) -> str:
+    """The leading fields of a row as csv.writer writes them, quoted where needed."""
     buf = io.StringIO()
-    csv.writer(buf).writerow([map_name, trial, policy])  # quotes a map name that needs it
-    key = buf.getvalue()[:-2]
-    f.write("".join(
-        f"{key},{t},{a},{loss!r},{cost!r},{reward!r},{bound!r}\r\n"
-        for t, a, loss, cost, reward, bound in zip(*(col.tolist() for col in log.columns()))
-    ))
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[:-2]
+
+
+def _write_rows(f, key: str, columns) -> None:
+    """Append one CSV row per entry of the columns, each led by `key`. Values
+    are written as str() of their Python values (floats as their repr), the
+    bytes csv.writer writes for ints, floats and plain strings."""
+    row = key.replace("%", "%%") + ",%s" * len(columns) + "\r\n"
+    f.write("".join([row % values for values in zip(*columns)]))
+
+
+def _write_steps(f, map_name: str, trial: int, policy: str, log: EpisodeLog) -> None:
+    """Append one episode to steps.csv, column by column."""
+    _write_rows(f, _csv_key(map_name, trial, policy), [col.tolist() for col in log.columns()])
 
 
 def _summary_row(map_name: str, trial: int, policy: str, summary) -> dict:
@@ -332,37 +336,35 @@ def _policies(trial_seed: int, bound_fn) -> tuple:
     )
 
 
-def _run_prediction_suite(cfg: ExperimentConfig, steps_file, per_trial: list[dict]) -> None:
+def _run_prediction_suite(cfg: ExperimentConfig, steps_file, curves: RewardCurves, per_trial: list[dict]) -> None:
     for trial, trial_seed in enumerate(cfg.seeds):
         stream, bound_fn = _prediction_trial(cfg.scenario, cfg.block, trial_seed, cfg.n_steps)
         for policy in _policies(trial_seed, bound_fn):
             log, summary = run_episode(stream, policy, cfg.weights, cfg.costs)
             _write_steps(steps_file, "-", trial, policy.name, log)
+            curves.add(policy.name, log.reward)
             per_trial.append(_summary_row("-", trial, policy.name, summary))
         steps_file.flush()
 
 
-def _write_trajectory_rows(writer, map_name, trial, policy, nav) -> None:
+def _write_trajectory_rows(f, map_name, trial, policy, nav) -> None:
+    """Every state of the episode; the decision columns stay empty after the last decision."""
     log = nav.records
-    actions, losses, rewards = log.action.tolist(), log.loss.tolist(), log.reward.tolist()
-    for i, s in enumerate(nav.states):
-        extra = [actions[i], _rel(losses[i]), _rel(rewards[i])] if i < len(log) else ["", "", ""]
-        writer.writerow([map_name, trial, policy, i, _rel(s.x), _rel(s.y), _rel(s.yaw), _rel(s.v)] + extra)
+    pad = [""] * (len(nav.states) - len(log))
+    decisions = [col.tolist() + pad for col in (log.action, log.loss, log.reward)]
+    _write_rows(f, _csv_key(map_name, trial, policy), [range(len(nav.states)), *nav.trajectory().T.tolist(), *decisions])
 
 
-def _write_reach_rows(writer, map_name, trial, policy, evaluation, nav) -> None:
+def _write_reach_rows(f, map_name, trial, policy, evaluation, nav) -> None:
     """The fast boxes of every decision and the slow boxes where the action was slow."""
+    key = _csv_key(map_name, trial, policy)
     for t, action in enumerate(nav.records.action.tolist()):
         results = [("fast", evaluation.fast[t])]
         if action == Action.INVOKE_SLOW:
             results.append(("slow", evaluation.slow[t]))
         for model, result in results:
-            for k, box in enumerate(result.boxes, start=1):
-                writer.writerow(
-                    [map_name, trial, policy, t, model, k]
-                    + [_rel(v) for v in box.lo]
-                    + [_rel(v) for v in box.hi]
-                )
+            columns = [range(1, result.horizon + 1), *result.lo.T.tolist(), *result.hi.T.tolist()]
+            _write_rows(f, f"{key},{t},{model}", columns)
 
 
 def _calibrated_maps(cfg: ExperimentConfig):
@@ -378,19 +380,15 @@ def _calibrated_maps(cfg: ExperimentConfig):
 
 
 def _run_rover_suite(
-    cfg: ExperimentConfig, steps_file, out: Path, per_trial: list[dict], calibrations: list[dict]
+    cfg: ExperimentConfig, steps_file, curves: RewardCurves, out: Path, per_trial: list[dict], calibrations: list[dict]
 ) -> None:
     traj_path = out / "trajectories.csv"
     reach_path = out / "reach_sets.csv"
     with traj_path.open("w", newline="") as tf, reach_path.open("w", newline="") as rf:
-        traj_writer = csv.writer(tf)
-        traj_writer.writerow(["map", "trial", "policy", "t", "x", "y", "yaw", "v", "action", "loss", "reward"])
-        reach_writer = csv.writer(rf)
-        reach_writer.writerow(
-            ["map", "trial", "policy", "t", "model", "k"]
-            + [f"lo{i}" for i in range(AUG_DIM)]
-            + [f"hi{i}" for i in range(AUG_DIM)]
-        )
+        tf.write("map,trial,policy,t,x,y,yaw,v,action,loss,reward\r\n")
+        rf.write(",".join(
+            ["map", "trial", "policy", "t", "model", "k"] + [f"{side}{i}" for side in ("lo", "hi") for i in range(AUG_DIM)]
+        ) + "\r\n")
         for scn, rollout, artifact in _calibrated_maps(cfg):
             calibrations.append(artifact)
             for trial, trial_seed in enumerate(cfg.seeds):
@@ -398,9 +396,10 @@ def _run_rover_suite(
                 for policy in _policies(trial_seed, lambda verdict: verdict):
                     nav = run_navigation(evaluation, policy)
                     _write_steps(steps_file, scn.name, trial, policy.name, nav.records)
-                    _write_trajectory_rows(traj_writer, scn.name, trial, policy.name, nav)
+                    curves.add(policy.name, nav.records.reward)
+                    _write_trajectory_rows(tf, scn.name, trial, policy.name, nav)
                     if trial == 0:
-                        _write_reach_rows(reach_writer, scn.name, trial, policy.name, evaluation, nav)
+                        _write_reach_rows(rf, scn.name, trial, policy.name, evaluation, nav)
                     row = _summary_row(scn.name, trial, policy.name, nav.summary)
                     per_trial.append(dict(row, reached_goal=nav.reached_goal, flagged_unsafe=nav.flagged_unsafe))
                 steps_file.flush()
@@ -419,15 +418,15 @@ def run_suite(cfg: ExperimentConfig) -> ComparisonReport:
     out.mkdir(parents=True, exist_ok=True)
     per_trial: list[dict] = []
     calibrations: list[dict] = []
+    curves = RewardCurves()
     interrupted = False
-    steps_path = out / "steps.csv"
-    with steps_path.open("w", newline="") as sf:
+    with (out / "steps.csv").open("w", newline="") as sf:
         sf.write(",".join(STEPS_HEADER) + "\r\n")
         try:
             if cfg.scenario in ("linreg", "dnn"):
-                _run_prediction_suite(cfg, sf, per_trial)
+                _run_prediction_suite(cfg, sf, curves, per_trial)
             else:
-                _run_rover_suite(cfg, sf, out, per_trial, calibrations)
+                _run_rover_suite(cfg, sf, curves, out, per_trial, calibrations)
         except KeyboardInterrupt:
             # flush what completed; the partial summary is still well-formed
             interrupted = True
@@ -440,7 +439,7 @@ def run_suite(cfg: ExperimentConfig) -> ComparisonReport:
         cfg.scenario, cfg.seed, cfg.trials, cfg.n_steps, per_trial, aggregate_rows(per_trial), config_echo, calibrations
     )
     report.save(out / "summary.json")
-    emit_charts(out, report, [steps_path])
+    emit_charts(out, report, curves)
     if interrupted:
         raise KeyboardInterrupt
     return report
@@ -458,33 +457,53 @@ def _episode_rewards(path: Path):
             yield policy, np.array([float(row[reward]) for row in episode])
 
 
-def _reward_curves(steps_paths: list[Path]) -> dict[str, list[tuple[float, float]]]:
-    """Mean cumulative reward per policy and step, averaged over the episodes
-    (trials and maps) that reach the step."""
-    totals = {p: np.zeros((2, 0)) for p in POLICY_ORDER}  # per step: summed cumulative reward, episodes
-    for path in steps_paths:
-        for policy, rewards in _episode_rewards(path):
-            n = len(rewards)
-            acc = totals[policy] = np.pad(totals[policy], ((0, 0), (0, max(0, n - totals[policy].shape[1]))))
-            acc[0, :n] += np.cumsum(rewards)
-            acc[1, :n] += 1
-    curves: dict[str, list[tuple[float, float]]] = {}
-    for policy in POLICY_ORDER:
-        means = (totals[policy][0] / totals[policy][1]).tolist()
-        if not means:
-            continue
-        stride = max(1, len(means) // 400)
-        pts = [(float(t), m) for t, m in enumerate(means)]
-        curves[policy] = pts[::stride] + ([pts[-1]] if (len(pts) - 1) % stride else [])
-    return curves
+class RewardCurves:
+    """The reward-curve chart's data: per policy, the cumulative reward summed
+    over episodes at each step, and the episode lengths that give how many
+    episodes reach each step. It takes one episode's reward column at a
+    time, from memory in run_suite or read back from steps.csv in
+    merge_reports; steps.csv holds every reward at full precision, so both
+    give the same bits."""
+
+    def __init__(self) -> None:
+        self.sums = {p: np.zeros(0) for p in POLICY_ORDER}
+        self.lengths: dict[str, list[int]] = {p: [] for p in POLICY_ORDER}
+
+    def add(self, policy: str, rewards: np.ndarray) -> None:
+        n = len(rewards)
+        if n > len(self.sums[policy]):
+            self.sums[policy] = np.pad(self.sums[policy], (0, n - len(self.sums[policy])))
+        self.sums[policy][:n] += np.cumsum(rewards)
+        self.lengths[policy].append(n)
+
+    def read(self, steps_path: Path) -> None:
+        for policy, rewards in _episode_rewards(steps_path):
+            self.add(policy, rewards)
+
+    def points(self) -> dict[str, list[tuple[float, float]]]:
+        """Mean cumulative reward per policy and step, averaged over the
+        episodes (trials and maps) that reach the step, at most about 400
+        points per policy."""
+        curves: dict[str, list[tuple[float, float]]] = {}
+        for policy in POLICY_ORDER:
+            episodes = np.zeros(len(self.sums[policy]))
+            for length in self.lengths[policy]:
+                episodes[:length] += 1
+            n = len(episodes)
+            if n == 0:
+                continue
+            stride = max(1, n // 400)
+            steps = list(range(0, n, stride)) + ([n - 1] if (n - 1) % stride else [])
+            means = (self.sums[policy][steps] / episodes[steps]).tolist()
+            curves[policy] = [(float(t), m) for t, m in zip(steps, means)]
+        return curves
 
 
-def emit_charts(out: Path, report: ComparisonReport, steps_paths: list[Path]) -> None:
-    """Charts derive solely from emitted CSV/JSON, so regeneration from the
-    same files is byte-identical."""
-    curves = _reward_curves(steps_paths)
+def emit_charts(out: Path, report: ComparisonReport, curves: RewardCurves) -> None:
+    """Charts computed from the values written to the CSV and JSON outputs, so
+    regenerating them from those files is byte-identical."""
     (out / "reward_curve.svg").write_text(
-        charts.line_chart_svg(curves, f"{report.scenario}: cumulative reward", "step", "mean cumulative reward")
+        charts.line_chart_svg(curves.points(), f"{report.scenario}: cumulative reward", "step", "mean cumulative reward")
     )
     rows = report.per_trial
     scatter = {p: [(float(r["total_cost"]), float(r["mean_loss"])) for r in rows if r["policy"] == p] for p in POLICY_ORDER}
@@ -543,7 +562,10 @@ def merge_reports(paths: list[Path], out_dir: Path | None = None) -> ComparisonR
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         merged_report.save(out_dir / "summary.json")
-        emit_charts(out_dir, merged_report, steps_paths)
+        curves = RewardCurves()
+        for path in steps_paths:
+            curves.read(path)
+        emit_charts(out_dir, merged_report, curves)
     return merged_report
 
 

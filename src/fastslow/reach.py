@@ -10,8 +10,10 @@ at confidence 1 - delta.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -143,9 +145,11 @@ def required_samples(p: float, delta: float, n: int, t: int) -> int:
     if not 0 < p < 1:
         raise ValueError(f"confidence p must be in (0, 1), got {p}")
     if not 0 < delta < 1:
-        raise ValueError(f"type-I error delta must be in (0, 1), got {delta}")
-    if n < 1 or t < 1:
-        raise ValueError("dimension and horizon must be positive")
+        raise ValueError(f"type1_error delta must be in (0, 1), got {delta}")
+    if n < 1:
+        raise ValueError(f"dim n must be positive, got {n}")
+    if t < 1:
+        raise ValueError(f"horizon t must be positive, got {t}")
     facets = 2 * n * t
     q = (1.0 - p) / facets
     target = delta / facets
@@ -189,7 +193,9 @@ class StatReachConfig:
 
 @dataclass(frozen=True)
 class UnsafeSet:
-    """Obstacle boxes living in a subset of the state coordinates."""
+    """Obstacle boxes living in a subset of the state coordinates. `lo` and
+    `hi` stack the non-empty boxes' bounds as (k, len(position_indices))
+    arrays."""
 
     boxes: tuple[Box, ...]
     position_indices: tuple[int, ...]
@@ -202,32 +208,47 @@ class UnsafeSet:
         for b in self.boxes:
             if b.dim != len(self.position_indices):
                 raise ValueError("obstacle dimension does not match the position subspace")
+        solid = [b for b in self.boxes if not b.is_empty]
+        shape = (len(solid), len(self.position_indices))
+        object.__setattr__(self, "lo", np.array([b.lo for b in solid]).reshape(shape))
+        object.__setattr__(self, "hi", np.array([b.hi for b in solid]).reshape(shape))
 
     @property
     def is_free(self) -> bool:
         return len(self.boxes) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachResult:
-    """Per-timestep hull boxes (timesteps 1..t) plus accounting."""
+    """Per-timestep hulls (timesteps 1..t) as (t, n) arrays of lower and upper
+    bounds, plus accounting."""
 
-    boxes: tuple[Box, ...]
+    lo: np.ndarray
+    hi: np.ndarray
     n_samples: int
     cost: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-
     @property
     def horizon(self) -> int:
-        return len(self.boxes)
+        return self.lo.shape[0]
+
+    @cached_property
+    def boxes(self) -> tuple[Box, ...]:
+        """The hulls as Boxes, built on first use."""
+        return tuple(Box(lo, hi) for lo, hi in zip(self.lo, self.hi))
 
 
 def sample_matrix(lam: IntervalMatrix, rng: np.random.Generator) -> np.ndarray:
     """One matrix with every entry drawn independently and uniformly from its
     interval (zero-width entries come back exactly)."""
     return rng.uniform(lam.lo, lam.hi)
+
+
+def _uniform_rows(low: np.ndarray, high: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n rows of draws from [low, high): the doubles rng.uniform(low, high,
+    (n, len(low))) returns, from the same stream, without its per-element
+    broadcast (low + width * U, evaluated the same way)."""
+    return low + (high - low) * rng.random((n, low.size))
 
 
 def _split_signs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,46 +295,49 @@ def reach_sampled(
     N = cfg.n_samples
     # Draw only the entries with nonzero interval width; the rest are fixed.
     rows, cols = np.nonzero(lam.hi - lam.lo)
-    draws = rng.uniform(lam.lo[rows, cols], lam.hi[rows, cols], size=(N, rows.size))
+    draws = _uniform_rows(lam.lo[rows, cols], lam.hi[rows, cols], N, rng)
+    lo, hi = np.empty((cfg.horizon, n)), np.empty((cfg.horizon, n))
     if not x0.is_empty and np.array_equal(x0.lo, x0.hi):
-        return ReachResult(_point_hulls(lam.lo, rows, cols, draws, x0.lo, cfg.horizon), N, cfg.cost)
+        _point_hulls(lam.lo, rows, cols, draws, x0.lo, lo, hi)
+        return ReachResult(lo, hi, N, cfg.cost)
     A = np.broadcast_to(lam.lo, (N, n, n)).copy()
     A[:, rows, cols] = draws
     Ap, An = _split_signs(A)
     bounds = np.broadcast_to(np.stack([x0.lo, x0.hi], axis=-1), (N, n, 2)).copy()
-    boxes = []
-    for _ in range(cfg.horizon):
+    for k in range(cfg.horizon):
         bounds = _step_bounds(Ap, An, bounds)
-        boxes.append(Box(bounds[:, :, 0].min(axis=0), bounds[:, :, 1].max(axis=0)))
-    return ReachResult(tuple(boxes), N, cfg.cost)
+        bounds[:, :, 0].min(axis=0, out=lo[k])
+        bounds[:, :, 1].max(axis=0, out=hi[k])
+    return ReachResult(lo, hi, N, cfg.cost)
 
 
-def _point_hulls(lo, rows, cols, draws, x0, horizon) -> list[Box]:
+def _point_hulls(lo, rows, cols, draws, x0, hull_lo, hull_hi) -> None:
     """Per-timestep hulls of the trajectories x_{k+1} = A_s x_k from the point
-    x0, where A_s is lo with entry (rows[e], cols[e]) set to draws[s, e]."""
+    x0, where A_s is lo with entry (rows[e], cols[e]) set to draws[s, e],
+    reduced into the rows of hull_lo and hull_hi."""
     # Samples run along the last axis. The steps reuse two state buffers: fresh
     # (n, N) arrays go back to the OS on free and page-fault in again per call.
     fixed = lo.copy()
     fixed[rows, cols] = 0.0
     x = np.repeat(x0[:, None], draws.shape[0], axis=1)
     nxt, term = np.empty_like(x), np.empty_like(x[0])
-    boxes = []
-    for _ in range(horizon):
+    for k in range(hull_lo.shape[0]):
         np.matmul(fixed, x, out=nxt)
         for e, (r, c) in enumerate(zip(rows, cols)):
             nxt[r] += np.multiply(draws[:, e], x[c], out=term)
         x, nxt = nxt, x
-        boxes.append(Box(x.min(axis=1), x.max(axis=1)))
-    return boxes
+        x.min(axis=1, out=hull_lo[k])
+        x.max(axis=1, out=hull_hi[k])
 
 
-def bloat(box: Box, mu: float) -> Box:
-    """Minkowski sum with the inf-norm ball of radius mu."""
+def bloat(sets, mu: float):
+    """Minkowski sum of a Box, or of every timestep box of a ReachResult, with
+    the inf-norm ball of radius mu."""
     if mu < 0:
         raise ValueError(f"bloat radius must be non-negative, got {mu}")
-    if box.is_empty:
-        return box
-    return Box(box.lo - mu, box.hi + mu)
+    if isinstance(sets, Box) and sets.is_empty:
+        return sets
+    return dataclasses.replace(sets, lo=sets.lo - mu, hi=sets.hi + mu)
 
 
 @dataclass(frozen=True)
@@ -338,40 +362,46 @@ def calibrate_bloat(calibration_runs: list[tuple[ReachResult, ReachResult]]) -> 
     """
     if len(calibration_runs) == 0:
         raise ValueError("calibration set is empty")
-    mu = 0.0
-    for fast_res, slow_res in calibration_runs:
-        if fast_res.horizon != slow_res.horizon:
-            raise ValueError("fast/slow calibration results must share a horizon")
-        for fb, sb in zip(fast_res.boxes, slow_res.boxes):
-            mu = max(mu, float(np.max(fb.lo - sb.lo)), float(np.max(sb.hi - fb.hi)))
+    if any(fast.horizon != slow.horizon for fast, slow in calibration_runs):
+        raise ValueError("fast/slow calibration results must share a horizon")
+    fast_lo, fast_hi, slow_lo, slow_hi = (
+        np.concatenate(col) for col in zip(*((f.lo, f.hi, s.lo, s.hi) for f, s in calibration_runs))
+    )
+    # max is exact, so one reduction over all pairs finds the same deficit.
+    mu = max(0.0, float(np.max(fast_lo - slow_lo)), float(np.max(slow_hi - fast_hi)))
     eps = 1.0 - 1.0 / mu if mu > 1.0 else None
     return CalibrationResult(mu, eps, len(calibration_runs))
+
+
+def _touches(lo: np.ndarray, hi: np.ndarray, unsafe: UnsafeSet) -> bool:
+    """Closed-set test: does any row of the (k, n) boxes [lo, hi], projected
+    onto the position coordinates, touch an obstacle box?"""
+    idx = list(unsafe.position_indices)
+    if max(idx) >= lo.shape[1]:
+        raise IndexError(f"position index {max(idx)} out of range for dimension {lo.shape[1]}")
+    plo, phi = lo[:, None, idx], hi[:, None, idx]
+    return bool(np.any(np.all((plo <= unsafe.hi) & (unsafe.lo <= phi), axis=-1)))
 
 
 def intersects(box: Box, unsafe: UnsafeSet) -> bool:
     """Closed-set test: does the projection onto the position coordinates
     touch any obstacle box?"""
-    if max(unsafe.position_indices) >= box.dim:
-        raise IndexError(
-            f"position index {max(unsafe.position_indices)} out of range for dimension {box.dim}"
-        )
-    proj = box.project(unsafe.position_indices)
-    return any(proj.overlaps(b) for b in unsafe.boxes)
+    return not box.is_empty and _touches(box.lo[None], box.hi[None], unsafe)
 
 
-def loss_nav(step_boxes, unsafe: UnsafeSet) -> float:
-    """0 when every timestep box avoids the unsafe set, +inf otherwise."""
-    for box in step_boxes:
-        if intersects(box, unsafe):
-            return math.inf
-    return 0.0
+def loss_nav(step_sets, unsafe: UnsafeSet) -> float:
+    """0 when every timestep set avoids the unsafe set, +inf otherwise.
+    `step_sets` is a ReachResult, tested on its arrays at once, or a sequence
+    of Boxes."""
+    if isinstance(step_sets, ReachResult):
+        hit = _touches(step_sets.lo, step_sets.hi, unsafe)
+    else:
+        hit = any(intersects(box, unsafe) for box in step_sets)
+    return math.inf if hit else 0.0
 
 
 def select_rs(fast_result: ReachResult, mu: float, unsafe: UnsafeSet) -> Action:
     """Offload iff some bloated fast box touches the unsafe set; the bloated
     fast set over-approximates the slow set after calibration, so a clear
     verdict here certifies the slow verdict too."""
-    for box in fast_result.boxes:
-        if intersects(bloat(box, mu), unsafe):
-            return Action.INVOKE_SLOW
-    return Action.USE_FAST
+    return Action.INVOKE_SLOW if loss_nav(bloat(fast_result, mu), unsafe) else Action.USE_FAST

@@ -309,21 +309,31 @@ class RoverScenario:
     perturb_rows: tuple[int, ...] = (2,)
 
     def __post_init__(self) -> None:
-        wp = np.asarray(self.waypoints, dtype=float)
-        object.__setattr__(self, "waypoints", wp)
-        if wp.shape[0] < 2:
-            raise ValueError("need at least two waypoints")
-        if self.goal_tolerance <= 0:
-            raise ValueError("goal tolerance must be positive")
+        # Errors name the scenario field first, as in the map JSON.
+        for name in ("goal_tolerance", "cruise_speed", "plan_ds"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name}: must be positive, got {getattr(self, name)!r}")
+        for name in ("reach_horizon", "mpc_horizon", "step_cap"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)!r}")
+        if any(not 0 <= r < AUG_DIM for r in self.perturb_rows):
+            rows = list(self.perturb_rows)
+            raise ConfigError(f"perturb_rows: rows of the augmented dynamics are 0..{AUG_DIM - 1}, got {rows}")
         if not self.slow_cfg.confidence > self.fast_cfg.confidence:
-            raise ValueError("the slow routine must carry the higher confidence")
+            raise ConfigError("slow_reach.confidence: the slow routine must carry the higher confidence")
+        try:  # the reference is planned here, so a map that cannot be planned fails on load
+            wp = np.asarray(self.waypoints, dtype=float)
+            object.__setattr__(self, "_reference", cubic_spline_plan(wp, self.plan_ds))
+        except ValueError as exc:
+            raise ConfigError(f"waypoints: {exc}") from exc
+        object.__setattr__(self, "waypoints", wp)
         if self.slow_cfg.type1_error > self.fast_cfg.type1_error:
             warnings.warn("slow reachability allows a larger type-I error than fast", stacklevel=2)
         if not self.slow_cfg.cost > self.fast_cfg.cost:
             warnings.warn("slow reachability is not the expensive one", stacklevel=2)
 
     def reference(self) -> ReferencePath:
-        return cubic_spline_plan(self.waypoints, self.plan_ds)
+        return self._reference
 
     def goal(self) -> np.ndarray:
         return self.waypoints[-1]
@@ -395,8 +405,8 @@ def evaluate_navigation(scn: RoverScenario, rollout: Rollout, seed: int, bloat_m
     for t, step in enumerate(rollout.steps):
         fast.append(reach_sampled(step.dynamics, step.start_box, scn.fast_cfg, role_rng(seed, t, "fast")))
         slow.append(reach_sampled(step.dynamics, step.start_box, scn.slow_cfg, role_rng(seed, t, "slow")))
-        loss_fast.append(loss_nav([bloat(b, bloat_mu) for b in fast[-1].boxes], scn.obstacles))
-        loss_slow.append(loss_nav(slow[-1].boxes, scn.obstacles))
+        loss_fast.append(loss_nav(bloat(fast[-1], bloat_mu), scn.obstacles))
+        loss_slow.append(loss_nav(slow[-1], scn.obstacles))
         if loss_fast[-1] == loss_slow[-1] == math.inf:
             break
     verdict = np.array(loss_fast, dtype=float)
@@ -508,15 +518,39 @@ MAP_DEFAULTS = {
     "perturb_rows": list(RoverScenario.perturb_rows),
 }
 _OBSTACLE = {"lo": [0.0], "hi": [0.0]}
+# Constructor parameters named apart from the map field they take.
+_FIELD_OF_PARAM = {"horizon": "reach_horizon"}
+
+
+def _checked(where: str, make, fields: dict, **fixed):
+    """make(**fields, **fixed). Its ValueErrors name the parameter first; they
+    become ConfigErrors on `where`.<parameter> for a parameter of `fields`."""
+    try:
+        return make(**fields, **fixed)
+    except ValueError as exc:
+        param = str(exc).split()[0]
+        name = f"{where}.{param}" if param in fields else _FIELD_OF_PARAM.get(param, where)
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _obstacle_box(lo: list, hi: list) -> Box:
+    box = Box(np.array(lo), np.array(hi))
+    if box.dim != 2:
+        raise ValueError(f"an obstacle is an (x, y) box, got {box.dim} coordinates")
+    return box
 
 
 def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
     """Build a scenario from its JSON document, merged over MAP_DEFAULTS."""
     d = merge(MAP_DEFAULTS, d, required=("waypoints", "fast_reach", "slow_reach"))
-    fast_cfg = StatReachConfig(dim=AUG_DIM, horizon=d["reach_horizon"], cost=d["costs"]["c_fast"], **d["fast_reach"])
-    slow_cfg = StatReachConfig(dim=AUG_DIM, horizon=d["reach_horizon"], cost=d["costs"]["c_slow"], **d["slow_reach"])
-    obstacles = [merge(_OBSTACLE, o, f"obstacles[{i}]", ("lo", "hi")) for i, o in enumerate(d["obstacles"])]
-    boxes = [Box(np.array(o["lo"]), np.array(o["hi"])) for o in obstacles]
+    fast_cfg, slow_cfg = (
+        _checked(role, StatReachConfig, d[role], dim=AUG_DIM, horizon=d["reach_horizon"], cost=d["costs"][cost])
+        for role, cost in (("fast_reach", "c_fast"), ("slow_reach", "c_slow"))
+    )
+    boxes = [
+        _checked(f"obstacles[{i}]", _obstacle_box, merge(_OBSTACLE, o, f"obstacles[{i}]", ("lo", "hi")))
+        for i, o in enumerate(d["obstacles"])
+    ]
     if d["points_csv"]:
         csv_path = Path(d["points_csv"])
         if base_dir is not None and not csv_path.is_absolute():
@@ -524,18 +558,14 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
         if not csv_path.exists():
             raise ConfigError(f"points_csv: file not found: {csv_path}")
         boxes += obstacles_from_points(load_points_csv(csv_path), d["cell_size"])
-    try:  # RoverParams' errors name the parameter first
-        params = RoverParams(**d["params"])
-    except ValueError as exc:
-        raise ConfigError(f"params.{str(exc).split()[0]}: {exc}") from exc
     return RoverScenario(
         obstacles=UnsafeSet(tuple(boxes), (0, 1)),
         initial_state=RoverState(**d["initial_state"]),
         fast_cfg=fast_cfg,
         slow_cfg=slow_cfg,
-        weights=RewardWeights(**d["weights"]),
+        weights=_checked("weights", RewardWeights, d["weights"]),
         costs=CostSchedule(fast_cfg.cost, slow_cfg.cost),
-        params=params,
+        params=_checked("params", RoverParams, d["params"]),
         perturb_rows=tuple(d["perturb_rows"]),
         **{k: d[k] for k in ("name", "waypoints", "goal_tolerance", "reach_horizon")},
         **{k: d[k] for k in ("cruise_speed", "mpc_horizon", "plan_ds", "step_cap")},

@@ -94,6 +94,34 @@ def test_map_params_out_of_range_names_the_dotted_field(tmp_path):
     _assert_config_error(rc, err, "params.dt")
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        # each ended in a traceback, or ran without moving
+        ({"perturb_rows": [9]}, "perturb_rows"),
+        ({"mpc_horizon": 0}, "mpc_horizon"),
+        ({"plan_ds": 0}, "plan_ds"),
+        ({"step_cap": 0}, "step_cap"),
+        ({"waypoints": [[0.0, 0.0, 0.0], [6.0, 0.0, 1.0]]}, "waypoints"),
+        ({"waypoints": [[0.0, 0.0], [0.0, 0.0], [6.0, 0.0]]}, "waypoints"),
+        ({"cruise_speed": 0}, "cruise_speed"),
+        # each exited 2 without naming the field
+        ({"reach_horizon": 0}, "reach_horizon"),
+        ({"fast_reach": {"confidence": 1.5, "type1_error": 0.3}}, "fast_reach.confidence"),
+        ({"slow_reach": {"confidence": 0.85, "type1_error": 0.0}}, "slow_reach.type1_error"),
+        ({"goal_tolerance": 0}, "goal_tolerance"),
+        ({"obstacles": [{"lo": [1.0, 1.0], "hi": [1.5, 1.5]}, {"lo": [3.0, 1.0], "hi": [2.0, 2.0]}]}, "obstacles[1]"),
+        ({"obstacles": [{"lo": [3.0, 1.0, 0.0], "hi": [4.0, 2.0, 1.0]}]}, "obstacles[0]"),
+        ({"weights": {"alpha": 0, "beta": 0.3}}, "weights.alpha"),
+    ],
+)
+def test_map_values_out_of_range_name_the_field(tmp_path, change, field):
+    map_path = tmp_path / "bad_map.json"
+    map_path.write_text(json.dumps(dict(MINI_MAP, **change)))
+    rc, err = _cli_with_config(_defaults("rover", rover={"maps": [str(map_path)]}), "rover")
+    _assert_config_error(rc, err, f"{field}: ")
+
+
 def test_empty_map_list_is_rejected():
     rc, err = _cli_with_config(_defaults("rover", rover={"maps": []}), "rover")
     _assert_config_error(rc, err, "rover.maps")

@@ -363,6 +363,9 @@ def test_interrupt_flushes_partial_results(tmp_path, monkeypatch):
     assert summary["config"]["partial"] is True
     assert len(summary["per_trial"]) == len(POLICY_ORDER)
     assert (tmp_path / "out" / "steps.csv").read_text().count("\n") > 1
+    # the partial chart is the one regenerated from the partial steps.csv
+    merge_reports([tmp_path / "out"], out_dir=tmp_path / "m")
+    assert (tmp_path / "m" / "reward_curve.svg").read_bytes() == (tmp_path / "out" / "reward_curve.svg").read_bytes()
 
 
 def test_aggregate_rows_over_policies():

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fastslow.policy import Action
 from fastslow.reach import (
     Box,
     IntervalMatrix,
+    ReachResult,
     StatReachConfig,
     UnsafeSet,
     bloat,
@@ -21,6 +23,7 @@ from fastslow.reach import (
     select_rs,
     step_box,
 )
+from fastslow.reach import _uniform_rows
 
 
 def test_box_rejects_crossed_bounds():
@@ -249,9 +252,7 @@ def test_bloat_is_additive():
 
 
 def _result(boxes):
-    from fastslow.reach import ReachResult
-
-    return ReachResult(tuple(boxes), 1, 0.0)
+    return ReachResult(np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]), 1, 0.0)
 
 
 def test_calibrate_contained_gives_zero():
@@ -380,3 +381,125 @@ def test_policy_soundness_on_calibration_scenarios():
     for fast, slow in runs:
         if select_rs(fast, mu, unsafe) == Action.USE_FAST:
             assert loss_nav(slow.boxes, unsafe) == 0.0
+
+
+# -- array fast paths against the per-element code they replaced --------------
+
+_LOWS = st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0, -1e150, 1e150, -5e-324])
+_WIDTHS = st.floats(0.0, 1e150) | st.sampled_from([0.0, 5e-324, 1.0])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(_LOWS, _WIDTHS), min_size=1, max_size=8), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_uniform_rows_match_generator_uniform(intervals, n, seed):
+    """Negative, zero-width and wide intervals give the same doubles, signs of
+    zeros included, and leave the stream where Generator.uniform leaves it."""
+    low = np.array([lo for lo, _ in intervals])
+    high = low + np.array([w for _, w in intervals])
+    ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ours = _uniform_rows(low, high, n, ours_rng)
+    ref = ref_rng.uniform(low, high, size=(n, low.size))
+    assert np.array_equal(ours, ref)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+    assert ours_rng.random() == ref_rng.random()
+
+
+def _per_box_loss_nav(boxes, unsafe):
+    """loss_nav as it was: project each Box and test it against each obstacle."""
+    for box in boxes:
+        proj = box.project(unsafe.position_indices)
+        if any(proj.overlaps(b) for b in unsafe.boxes):
+            return math.inf
+    return 0.0
+
+
+# Quarter steps keep the bounds exact, so boxes touch obstacles edge to edge
+# often, also after a bloat by a multiple of a quarter.
+_QUARTERS = st.integers(-12, 12).map(lambda k: k / 4)
+
+
+@st.composite
+def _boxes(draw, dim, min_size, max_size):
+    out = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        lo = np.array(draw(st.lists(_QUARTERS, min_size=dim, max_size=dim)))
+        width = np.array(draw(st.lists(st.integers(0, 8).map(lambda k: k / 4), min_size=dim, max_size=dim)))
+        out.append(Box(lo, lo + width))
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.integers(2, 6), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+def test_array_verdict_matches_per_box_loss_nav(data, n, mu):
+    steps = data.draw(_boxes(n, 1, 5))
+    obstacles = data.draw(_boxes(2, 0, 4))  # none: a free map
+    position = tuple(data.draw(st.permutations(range(n)))[:2])
+    unsafe = UnsafeSet(tuple(obstacles), position)
+    result = ReachResult(np.array([b.lo for b in steps]), np.array([b.hi for b in steps]), 1, 0.0)
+    bloated = [bloat(b, mu) for b in steps]
+    expected = _per_box_loss_nav(bloated, unsafe)
+    assert loss_nav(bloat(result, mu), unsafe) == expected
+    assert loss_nav(bloated, unsafe) == expected
+    assert select_rs(result, mu, unsafe) == (Action.INVOKE_SLOW if expected else Action.USE_FAST)
+    assert [intersects(b, unsafe) for b in bloated] == [_per_box_loss_nav([b], unsafe) == math.inf for b in bloated]
+
+
+def test_array_verdict_counts_touching_edges():
+    result = ReachResult(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [2.0, 2.0]]), 1, 0.0)
+    corner = UnsafeSet((Box(np.array([2.0, 2.0]), np.array([3.0, 3.0])),), (0, 1))
+    apart = UnsafeSet((Box(np.array([2.0, 2.25]), np.array([3.0, 3.0])),), (0, 1))
+    assert loss_nav(result, corner) == math.inf
+    assert loss_nav(result, apart) == 0.0
+    assert loss_nav(bloat(result, 0.25), apart) == math.inf
+
+
+def _sequential_mu(runs):
+    """calibrate_bloat's mu as it was: a running max over pairs and timesteps."""
+    mu = 0.0
+    for fast, slow in runs:
+        for fb, sb in zip(fast.boxes, slow.boxes):
+            mu = max(mu, float(np.max(fb.lo - sb.lo)), float(np.max(sb.hi - fb.hi)))
+    return mu
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data(), st.integers(1, 5), st.integers(1, 4), st.integers(1, 6))
+def test_array_calibrate_bloat_matches_the_sequential_loop(data, n_runs, horizon, n):
+    # Shared grid values make zero deficits (of either sign) and containment common.
+    values = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]) | st.floats(-8.0, 8.0)
+    widths = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 4.0)
+    runs = []
+    for _ in range(n_runs):
+        pair = []
+        for _ in range(2):
+            lo = data.draw(arrays(float, (horizon, n), elements=values))
+            pair.append(ReachResult(lo, lo + data.draw(arrays(float, (horizon, n), elements=widths)), 1, 0.0))
+        runs.append(tuple(pair))
+    got, want = calibrate_bloat(runs), _sequential_mu(runs)
+    assert got.mu == want and np.signbit(got.mu) == np.signbit(want)
+    assert got.n_pairs == n_runs
+
+
+def test_calibrate_zero_deficit_gives_positive_zero():
+    # -0.0 - 0.0 is a deficit of -0.0; mu stays the +0.0 it starts from
+    fast = ReachResult(np.array([[-0.0]]), np.array([[1.0]]), 1, 0.0)
+    slow = ReachResult(np.array([[0.0]]), np.array([[0.5]]), 1, 0.0)
+    mu = calibrate_bloat([(fast, slow)]).mu
+    assert mu == 0.0 and not np.signbit(mu)
+    assert _sequential_mu([(fast, slow)]) == mu
+
+
+def test_calibrate_rejects_mismatched_horizons():
+    fast = _result([Box(np.zeros(1), np.ones(1))] * 2)
+    slow = _result([Box(np.zeros(1), np.ones(1))])
+    with pytest.raises(ValueError, match="share a horizon"):
+        calibrate_bloat([(fast, slow)])
+
+
+def test_reach_result_builds_boxes_on_demand():
+    cfg = StatReachConfig(0.9, 0.05, 2, 3)
+    res = reach_sampled(example_interval_matrix(), Box.point([1.0, 1.0]), cfg, np.random.default_rng(3))
+    assert res.lo.shape == res.hi.shape == (3, 2) and res.horizon == 3
+    assert "boxes" not in vars(res)
+    assert all(np.array_equal(b.lo, lo) and np.array_equal(b.hi, hi) for b, lo, hi in zip(res.boxes, res.lo, res.hi))
+    assert res.boxes is res.boxes

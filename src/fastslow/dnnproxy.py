@@ -5,10 +5,8 @@ corruption capped so the squared-norm loss never exceeds the configured cap.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -97,41 +95,6 @@ class ProxyPair:
         y_slow = self.slow_output(x)
         return self._corrupt(np.atleast_2d(y_slow), index)[0].reshape(y_slow.shape)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "proxy_predictor_pair",
-            "feature_weights": self.feature_weights.tolist(),
-            "feature_phases": self.feature_phases.tolist(),
-            "coefs": self.coefs.tolist(),
-            "out_center": self.out_center,
-            "out_spread": self.out_spread,
-            "bound": {
-                "epsilon": self.bound.epsilon,
-                "delta": self.bound.delta,
-                "m_loss_cap": self.bound.m_loss_cap,
-            },
-            "corruption_seed": self.corruption_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProxyPair":
-        return cls(
-            feature_weights=np.array(d["feature_weights"], dtype=float),
-            feature_phases=np.array(d["feature_phases"], dtype=float),
-            coefs=np.array(d["coefs"], dtype=float),
-            out_center=float(d["out_center"]),
-            out_spread=float(d["out_spread"]),
-            bound=ProbabilisticBound(**d["bound"]),
-            corruption_seed=int(d["corruption_seed"]),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ProxyPair":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 def make_proxy_pair(
     rng: np.random.Generator,
@@ -141,15 +104,15 @@ def make_proxy_pair(
     n_features: int = 16,
     out_center: float = 1.0,
     out_spread: float = 0.5,
-    length_scale: float = 1.0,
 ) -> ProxyPair:
-    """Draw a fixed random smooth predictor and wrap it into a corrupted pair."""
+    """Draw a fixed random smooth predictor, with unit-scale feature weights,
+    and wrap it into a corrupted pair."""
     if not isinstance(bound, ProbabilisticBound):
         bound = ProbabilisticBound(*bound)
     for field, size in (("n_inputs", n), ("n_features", n_features)):
         if size < 1:
             raise ValueError(f"{field} must be >= 1, got {size}")
-    W = rng.standard_normal((n_features, n)) / length_scale
+    W = rng.standard_normal((n_features, n))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
     C = rng.standard_normal((m, n_features))
     C /= np.sum(np.abs(C), axis=1, keepdims=True)

@@ -37,7 +37,7 @@ from .policy import (
 from .rover import (
     AUG_DIM, RoverScenario, calibrate_scenario, evaluate_navigation, load_scenario, nominal_rollout, run_navigation,
 )
-from .schema import ConfigError, merge
+from .schema import ConfigError, checked, merge
 from .seeding import CALIB_SEED_TAG, INPUT_TAG, LR_CALIB_TAG, PAIR_TAG, RANDOM_TAG, derive_seed, rng_for
 
 SCHEMA_VERSION = 1
@@ -102,10 +102,6 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
-# Model parameters named apart from the block field they take.
-_FIELD_OF_PARAM = {"scale": "input_scale"}
-
-
 def normalize(raw: dict, overrides: dict | None = None) -> dict:
     """`raw` with `overrides` applied, deep-merged over its scenario's DEFAULTS
     and checked. `weights` and `costs` must be given in full. A `seed` or
@@ -131,13 +127,11 @@ def normalize(raw: dict, overrides: dict | None = None) -> dict:
         raise ConfigError("trials: must be >= 1")
     if len(cfg["seeds"]) != cfg["trials"]:
         raise ConfigError(f"seeds: got {len(cfg['seeds'])} explicit seeds for {cfg['trials']} trials")
-    if scenario != "rover":
-        try:  # the value ranges live in the model constructors, whose errors name the parameter first
-            _prediction_trial(scenario, cfg[scenario], cfg["seeds"][0], 0)
-        except ValueError as exc:
-            param = str(exc).split()[0]
-            name = _FIELD_OF_PARAM.get(param, param)
-            raise ConfigError(f"{scenario}{'.' + name if name in cfg[scenario] else ''}: {exc}") from exc
+    if scenario != "rover":  # the value ranges live in the model constructors
+        checked(
+            scenario, lambda **block: _prediction_trial(scenario, block, cfg["seeds"][0], 0),
+            cfg[scenario], {"scale": f"{scenario}.input_scale"},
+        )
     elif cfg["n_steps"] != 0:
         raise ConfigError("n_steps: the rover suite takes no step count; episodes run to the goal or the map's step_cap")
     elif not cfg["rover"]["maps"]:
@@ -180,10 +174,7 @@ def config_from_dict(
     cfg = normalize(raw, overrides)
     weights = costs = None
     if cfg["scenario"] != "rover":
-        try:
-            weights, costs = RewardWeights(**cfg["weights"]), CostSchedule(**cfg["costs"])
-        except ValueError as exc:
-            raise ConfigError(f"weights/costs: {exc}") from exc
+        weights, costs = checked("weights", RewardWeights, cfg["weights"]), checked("costs", CostSchedule, cfg["costs"])
     return ExperimentConfig(cfg, weights, costs, base_dir)
 
 

@@ -4,10 +4,8 @@ bound, and the matching selection rule.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -73,29 +71,6 @@ class CoresetPair:
     def fast_output(self, x: np.ndarray) -> np.ndarray:
         return self.per_coord_scales * self.slow(x)
 
-    def to_dict(self, seed: int | None = None) -> dict:
-        doc = {
-            "kind": "coreset_linreg_pair",
-            "epsilon": self.epsilon,
-            "slow": {"A": self.slow.A.tolist(), "b": self.slow.b.tolist()},
-            "per_coord_scales": self.per_coord_scales.tolist(),
-        }
-        if seed is not None:
-            doc["seed"] = int(seed)
-        return doc
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CoresetPair":
-        slow = LinearModel(np.array(d["slow"]["A"]), np.array(d["slow"]["b"]))
-        return cls.from_slow(slow, float(d["epsilon"]), np.array(d["per_coord_scales"]))
-
-    def save(self, path: str | Path, seed: int | None = None) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(seed=seed), sort_keys=True, indent=1))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CoresetPair":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 @dataclass(frozen=True)
 class InputDistribution:
@@ -103,12 +78,9 @@ class InputDistribution:
 
     n: int
     scale: float = 1.0
-    kind: str = "nonnegative-gaussian-magnitude"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind != "nonnegative-gaussian-magnitude":
-            raise ValueError(f"unsupported input kind {self.kind!r}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 

@@ -16,8 +16,6 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-INFINITE_LOSS = math.inf
-
 # Maps fast and slow outputs to the loss of keeping the fast one; the episode
 # runner passes (T, m) batches and expects (T,) losses.
 LossFn = Callable[[Any, Any], Any]
@@ -50,8 +48,9 @@ class CostSchedule:
     c_slow: float
 
     def __post_init__(self) -> None:
-        if self.c_fast < 0 or self.c_slow < 0:
-            raise ValueError("costs must be non-negative")
+        for name, cost in (("c_fast", self.c_fast), ("c_slow", self.c_slow)):
+            if cost < 0:
+                raise ValueError(f"{name} must be non-negative, got {cost}")
         if not self.c_slow > self.c_fast:
             warnings.warn(
                 "c_slow <= c_fast: the slow model is not the expensive one, "
@@ -111,12 +110,10 @@ class EpisodeSummary:
 
 
 class EpisodeError(RuntimeError):
-    """A model evaluation failed; `step` is the first step of the inputs that
-    the failed call evaluated."""
+    """The fast or the slow model (`which`) failed on an input stream."""
 
-    def __init__(self, step: int, which: str):
-        super().__init__(f"{which} model evaluation failed on the inputs from step {step}")
-        self.step = step
+    def __init__(self, which: str):
+        super().__init__(f"{which} model evaluation failed on the input stream")
         self.which = which
 
 
@@ -197,7 +194,7 @@ def evaluate_stream(inputs, fast_model: Callable, slow_model: Callable, loss_fn:
         try:
             outputs.append(np.asarray(model(inputs), dtype=float))
         except Exception as exc:
-            raise EpisodeError(0, which) from exc
+            raise EpisodeError(which) from exc
     loss = np.asarray(loss_fn(*outputs), dtype=float)
     return EvaluatedStream(outputs[0], loss, np.zeros_like(loss))
 

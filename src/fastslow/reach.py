@@ -22,18 +22,14 @@ from .policy import Action
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box [lo, hi]; emptiness is an explicit flag, never
-    encoded as crossed bounds."""
+    """Non-empty axis-aligned box [lo, hi]: lo <= hi coordinatewise."""
 
     lo: np.ndarray
     hi: np.ndarray
-    is_empty: bool = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Box):
             return NotImplemented
-        if self.is_empty or other.is_empty:
-            return self.is_empty == other.is_empty and self.dim == other.dim
         return bool(np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi))
 
     def __post_init__(self) -> None:
@@ -43,12 +39,8 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape:
             raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
-        if not self.is_empty and np.any(lo > hi):
-            raise ValueError("crossed bounds; use Box.empty() for the empty set")
-
-    @classmethod
-    def empty(cls, dim: int) -> "Box":
-        return cls(np.zeros(dim), np.zeros(dim), is_empty=True)
+        if np.any(lo > hi):
+            raise ValueError("crossed bounds: lo exceeds hi")
 
     @classmethod
     def point(cls, x) -> "Box":
@@ -59,34 +51,19 @@ class Box:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def width(self) -> np.ndarray:
-        if self.is_empty:
-            return np.zeros(self.dim)
-        return self.hi - self.lo
-
     def contains_point(self, x) -> bool:
-        if self.is_empty:
-            return False
         x = np.asarray(x, dtype=float)
         return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
 
     def contains_box(self, other: "Box") -> bool:
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
         return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
 
     def overlaps(self, other: "Box") -> bool:
         """Closed-set overlap: touching boundaries count."""
-        if self.is_empty or other.is_empty:
-            return False
         return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
 
     def project(self, indices) -> "Box":
         idx = np.asarray(indices, dtype=int)
-        if self.is_empty:
-            return Box.empty(len(idx))
         return Box(self.lo[idx], self.hi[idx])
 
 
@@ -115,16 +92,6 @@ class IntervalMatrix:
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
-
-    def width(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    def to_dict(self) -> dict:
-        return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IntervalMatrix":
-        return cls(np.array(d["lo"], dtype=float), np.array(d["hi"], dtype=float))
 
 
 def example_interval_matrix(uncertainty: float = 2.0) -> IntervalMatrix:
@@ -159,43 +126,35 @@ def required_samples(p: float, delta: float, n: int, t: int) -> int:
     return n_samples
 
 
+# The cost of one sample when a routine's cost is left to its sample count.
+COST_PER_SAMPLE = 1e-4
+
+
 @dataclass(frozen=True)
 class StatReachConfig:
     """One reachability routine: confidence p, type-I error delta, horizon,
-    and the derived sample count. Cost defaults to being proportional to the
-    sample count, mirroring that higher confidence needs more compute."""
+    and the derived sample count. A negative cost stands for COST_PER_SAMPLE
+    times the sample count, mirroring that higher confidence needs more
+    compute."""
 
     confidence: float
     type1_error: float
     dim: int
     horizon: int
     cost: float = field(default=-1.0)
-    cost_per_sample: float = 1e-4
     n_samples: int = field(default=0)
 
     def __post_init__(self) -> None:
         n = required_samples(self.confidence, self.type1_error, self.dim, self.horizon)
         object.__setattr__(self, "n_samples", n)
         if self.cost < 0:
-            object.__setattr__(self, "cost", n * self.cost_per_sample)
-
-    def to_dict(self) -> dict:
-        return {
-            "confidence": self.confidence,
-            "type1_error": self.type1_error,
-            "dim": self.dim,
-            "horizon": self.horizon,
-            "cost": self.cost,
-            "cost_per_sample": self.cost_per_sample,
-            "n_samples": self.n_samples,
-        }
+            object.__setattr__(self, "cost", n * COST_PER_SAMPLE)
 
 
 @dataclass(frozen=True)
 class UnsafeSet:
     """Obstacle boxes living in a subset of the state coordinates. `lo` and
-    `hi` stack the non-empty boxes' bounds as (k, len(position_indices))
-    arrays."""
+    `hi` stack the boxes' bounds as (k, len(position_indices)) arrays."""
 
     boxes: tuple[Box, ...]
     position_indices: tuple[int, ...]
@@ -208,10 +167,9 @@ class UnsafeSet:
         for b in self.boxes:
             if b.dim != len(self.position_indices):
                 raise ValueError("obstacle dimension does not match the position subspace")
-        solid = [b for b in self.boxes if not b.is_empty]
-        shape = (len(solid), len(self.position_indices))
-        object.__setattr__(self, "lo", np.array([b.lo for b in solid]).reshape(shape))
-        object.__setattr__(self, "hi", np.array([b.hi for b in solid]).reshape(shape))
+        shape = (len(self.boxes), len(self.position_indices))
+        object.__setattr__(self, "lo", np.array([b.lo for b in self.boxes]).reshape(shape))
+        object.__setattr__(self, "hi", np.array([b.hi for b in self.boxes]).reshape(shape))
 
     @property
     def is_free(self) -> bool:
@@ -221,12 +179,11 @@ class UnsafeSet:
 @dataclass(frozen=True, eq=False)
 class ReachResult:
     """Per-timestep hulls (timesteps 1..t) as (t, n) arrays of lower and upper
-    bounds, plus accounting."""
+    bounds, and the number of sampled matrices behind them."""
 
     lo: np.ndarray
     hi: np.ndarray
     n_samples: int
-    cost: float
 
     @property
     def horizon(self) -> int:
@@ -267,8 +224,6 @@ def step_box(A: np.ndarray, box: Box) -> Box:
     A = np.asarray(A, dtype=float)
     if A.shape[1] != box.dim:
         raise ValueError(f"matrix columns {A.shape[1]} do not match box dimension {box.dim}")
-    if box.is_empty:
-        return Box.empty(A.shape[0])
     Ap, An = _split_signs(A)
     out = _step_bounds(Ap, An, np.stack([box.lo, box.hi], axis=-1))
     return Box(out[..., 0], out[..., 1])
@@ -297,9 +252,9 @@ def reach_sampled(
     rows, cols = np.nonzero(lam.hi - lam.lo)
     draws = _uniform_rows(lam.lo[rows, cols], lam.hi[rows, cols], N, rng)
     lo, hi = np.empty((cfg.horizon, n)), np.empty((cfg.horizon, n))
-    if not x0.is_empty and np.array_equal(x0.lo, x0.hi):
+    if np.array_equal(x0.lo, x0.hi):
         _point_hulls(lam.lo, rows, cols, draws, x0.lo, lo, hi)
-        return ReachResult(lo, hi, N, cfg.cost)
+        return ReachResult(lo, hi, N)
     A = np.broadcast_to(lam.lo, (N, n, n)).copy()
     A[:, rows, cols] = draws
     Ap, An = _split_signs(A)
@@ -308,7 +263,7 @@ def reach_sampled(
         bounds = _step_bounds(Ap, An, bounds)
         bounds[:, :, 0].min(axis=0, out=lo[k])
         bounds[:, :, 1].max(axis=0, out=hi[k])
-    return ReachResult(lo, hi, N, cfg.cost)
+    return ReachResult(lo, hi, N)
 
 
 def _point_hulls(lo, rows, cols, draws, x0, hull_lo, hull_hi) -> None:
@@ -335,8 +290,6 @@ def bloat(sets, mu: float):
     the inf-norm ball of radius mu."""
     if mu < 0:
         raise ValueError(f"bloat radius must be non-negative, got {mu}")
-    if isinstance(sets, Box) and sets.is_empty:
-        return sets
     return dataclasses.replace(sets, lo=sets.lo - mu, hi=sets.hi + mu)
 
 
@@ -348,9 +301,6 @@ class CalibrationResult:
     mu: float
     epsilon: float | None
     n_pairs: int
-
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "epsilon": self.epsilon, "n_pairs": self.n_pairs}
 
 
 def calibrate_bloat(calibration_runs: list[tuple[ReachResult, ReachResult]]) -> CalibrationResult:
@@ -386,7 +336,7 @@ def _touches(lo: np.ndarray, hi: np.ndarray, unsafe: UnsafeSet) -> bool:
 def intersects(box: Box, unsafe: UnsafeSet) -> bool:
     """Closed-set test: does the projection onto the position coordinates
     touch any obstacle box?"""
-    return not box.is_empty and _touches(box.lo[None], box.hi[None], unsafe)
+    return _touches(box.lo[None], box.hi[None], unsafe)
 
 
 def loss_nav(step_sets, unsafe: UnsafeSet) -> float:

@@ -36,7 +36,7 @@ from .reach import (
     loss_nav,
     reach_sampled,
 )
-from .schema import ConfigError, merge
+from .schema import ConfigError, checked, merge
 from .seeding import ROVER_CALIB_TAG, role_rng, rng_for
 from .spline import ReferencePath, cubic_spline_plan
 
@@ -130,28 +130,16 @@ def linearize(s: RoverState, u: RoverControl, p: RoverParams) -> tuple[np.ndarra
     return A, B
 
 
-def build_uncertain_dynamics(
-    A: np.ndarray,
-    B: np.ndarray,
-    planned_controls: list[RoverControl],
-    eta: float,
-    horizon: int | None = None,
-    perturb_rows: tuple[int, ...] = (2,),
-) -> IntervalMatrix:
+def build_uncertain_dynamics(A: np.ndarray, B: np.ndarray, eta: float, perturb_rows: tuple[int, ...]) -> IntervalMatrix:
     """Augmented one-step matrix over (state, control) with multiplicative
-    uncertainty on the yaw row.
+    uncertainty on the given rows (the scenarios' default is the yaw row).
 
-    Block form [[A, B], [0, I]]: the planned control enters as extra
-    coordinates held fixed over the assessment horizon. Every entry a of a
-    perturbed row becomes the interval between a*(1-eta) and a*(1+eta), which
-    keeps the order right for negative entries and leaves zeros zero-width.
+    Block form [[A, B], [0, I]]: the control enters as extra coordinates held
+    fixed over the assessment horizon, so the matrix serves any horizon. Every
+    entry a of a perturbed row becomes the interval between a*(1-eta) and
+    a*(1+eta), which keeps the order right for negative entries and leaves
+    zeros zero-width.
     """
-    if len(planned_controls) == 0:
-        raise ValueError("horizon mismatch: no planned controls")
-    if horizon is not None and len(planned_controls) < horizon:
-        raise ValueError(
-            f"horizon mismatch: {len(planned_controls)} planned controls for horizon {horizon}"
-        )
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     nx, nu = B.shape
@@ -185,7 +173,6 @@ class TrackingProblem:
     drift_seq: list[np.ndarray]
     e0: np.ndarray
     nominal_controls: list[RoverControl]
-    ref_states: list[RoverState]
 
 
 def _state_error(s: RoverState, ref: RoverState) -> np.ndarray:
@@ -224,7 +211,7 @@ def build_tracking_problem(
         A_seq.append(A)
         B_seq.append(B)
     e0 = _state_error(s, ref_states[0])
-    return TrackingProblem(A_seq, B_seq, drift_seq, e0, nominal_controls, ref_states)
+    return TrackingProblem(A_seq, B_seq, drift_seq, e0, nominal_controls)
 
 
 def tracking_cost(problem: TrackingProblem, deltas: list[np.ndarray], Q: np.ndarray, R: np.ndarray) -> float:
@@ -363,8 +350,9 @@ class Rollout:
 
 
 def nominal_rollout(scn: RoverScenario) -> Rollout:
-    """Per step until the goal or the step cap: plan controls, linearize,
-    build the uncertain augmented dynamics, and execute the first control."""
+    """Per step until the goal or the step cap: plan mpc_horizon controls,
+    linearize at the first, build the uncertain augmented dynamics that hold
+    it over reach_horizon steps, and execute it."""
     ref = scn.reference()
     state = scn.initial_state
     goal = scn.goal()
@@ -375,10 +363,7 @@ def nominal_rollout(scn: RoverScenario) -> Rollout:
         controls = mpc_track(ref, state, scn.mpc_horizon, scn.params, scn.cruise_speed)
         u0 = controls[0]
         A, B = linearize(state, u0, scn.params)
-        lam = build_uncertain_dynamics(
-            A, B, controls, scn.params.yaw_uncertainty,
-            horizon=scn.reach_horizon, perturb_rows=scn.perturb_rows,
-        )
+        lam = build_uncertain_dynamics(A, B, scn.params.yaw_uncertainty, scn.perturb_rows)
         steps.append(RolloutStep(state, u0, lam, augmented_start(state, u0)))
         state = bicycle_step(state, u0, scn.params)
     return Rollout(steps, state, False)
@@ -518,19 +503,6 @@ MAP_DEFAULTS = {
     "perturb_rows": list(RoverScenario.perturb_rows),
 }
 _OBSTACLE = {"lo": [0.0], "hi": [0.0]}
-# Constructor parameters named apart from the map field they take.
-_FIELD_OF_PARAM = {"horizon": "reach_horizon"}
-
-
-def _checked(where: str, make, fields: dict, **fixed):
-    """make(**fields, **fixed). Its ValueErrors name the parameter first; they
-    become ConfigErrors on `where`.<parameter> for a parameter of `fields`."""
-    try:
-        return make(**fields, **fixed)
-    except ValueError as exc:
-        param = str(exc).split()[0]
-        name = f"{where}.{param}" if param in fields else _FIELD_OF_PARAM.get(param, where)
-        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _obstacle_box(lo: list, hi: list) -> Box:
@@ -544,14 +516,19 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
     """Build a scenario from its JSON document, merged over MAP_DEFAULTS."""
     d = merge(MAP_DEFAULTS, d, required=("waypoints", "fast_reach", "slow_reach"))
     fast_cfg, slow_cfg = (
-        _checked(role, StatReachConfig, d[role], dim=AUG_DIM, horizon=d["reach_horizon"], cost=d["costs"][cost])
+        checked(
+            role, StatReachConfig, d[role], {"horizon": "reach_horizon"},
+            dim=AUG_DIM, horizon=d["reach_horizon"], cost=d["costs"][cost],
+        )
         for role, cost in (("fast_reach", "c_fast"), ("slow_reach", "c_slow"))
     )
     boxes = [
-        _checked(f"obstacles[{i}]", _obstacle_box, merge(_OBSTACLE, o, f"obstacles[{i}]", ("lo", "hi")))
+        checked(f"obstacles[{i}]", _obstacle_box, merge(_OBSTACLE, o, f"obstacles[{i}]", ("lo", "hi")))
         for i, o in enumerate(d["obstacles"])
     ]
     if d["points_csv"]:
+        if not d["cell_size"] > 0:
+            raise ConfigError(f"cell_size: must be positive to bin points_csv, got {d['cell_size']!r}")
         csv_path = Path(d["points_csv"])
         if base_dir is not None and not csv_path.is_absolute():
             csv_path = base_dir / csv_path
@@ -563,9 +540,9 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
         initial_state=RoverState(**d["initial_state"]),
         fast_cfg=fast_cfg,
         slow_cfg=slow_cfg,
-        weights=_checked("weights", RewardWeights, d["weights"]),
+        weights=checked("weights", RewardWeights, d["weights"]),
         costs=CostSchedule(fast_cfg.cost, slow_cfg.cost),
-        params=_checked("params", RoverParams, d["params"]),
+        params=checked("params", RoverParams, d["params"]),
         perturb_rows=tuple(d["perturb_rows"]),
         **{k: d[k] for k in ("name", "waypoints", "goal_tolerance", "reach_horizon")},
         **{k: d[k] for k in ("cruise_speed", "mpc_horizon", "plan_ds", "step_cap")},

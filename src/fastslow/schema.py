@@ -55,3 +55,16 @@ def _check(default, value, name: str, whole: bool = False):
     if (kind is int and value < 0) or (kind is float and not math.isfinite(value)):
         raise ConfigError(f"{name}: out of range: {value!r}")
     return value
+
+
+def checked(where: str, make, fields: dict, renamed: dict | None = None, **fixed):
+    """make(**fields, **fixed), whose ValueErrors name the parameter first.
+    Such an error becomes a ConfigError on renamed[parameter] when the
+    parameter comes from a field of another name, on `where`.<parameter> for
+    a parameter of `fields`, and on `where` otherwise."""
+    try:
+        return make(**fields, **fixed)
+    except ValueError as exc:
+        param = str(exc).split()[0]
+        name = (renamed or {}).get(param) or (f"{where}.{param}" if param in fields else where)
+        raise ConfigError(f"{name}: {exc}") from exc

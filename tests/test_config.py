@@ -113,13 +113,25 @@ def test_map_params_out_of_range_names_the_dotted_field(tmp_path):
         ({"obstacles": [{"lo": [1.0, 1.0], "hi": [1.5, 1.5]}, {"lo": [3.0, 1.0], "hi": [2.0, 2.0]}]}, "obstacles[1]"),
         ({"obstacles": [{"lo": [3.0, 1.0, 0.0], "hi": [4.0, 2.0, 1.0]}]}, "obstacles[0]"),
         ({"weights": {"alpha": 0, "beta": 0.3}}, "weights.alpha"),
+        # exited 2 without naming the field
+        ({"points_csv": "cloud.csv", "cell_size": 0}, "cell_size"),
     ],
 )
 def test_map_values_out_of_range_name_the_field(tmp_path, change, field):
+    (tmp_path / "cloud.csv").write_text("x,y\n1.1,1.2\n")
     map_path = tmp_path / "bad_map.json"
     map_path.write_text(json.dumps(dict(MINI_MAP, **change)))
     rc, err = _cli_with_config(_defaults("rover", rover={"maps": [str(map_path)]}), "rover")
     _assert_config_error(rc, err, f"{field}: ")
+
+
+def test_mpc_horizon_shorter_than_the_reach_horizon_runs(tmp_path):
+    # The reach model holds the first control over its own horizon, so the
+    # two horizons are independent; this map ended in a traceback.
+    map_path = tmp_path / "short_mpc.json"
+    map_path.write_text(json.dumps(dict(MINI_MAP, mpc_horizon=3, reach_horizon=5)))
+    rc, err = _cli_with_config(_defaults("rover", rover={"maps": [str(map_path)]}), "rover", "--trials", "1", "--check")
+    assert rc == 0, err
 
 
 def test_empty_map_list_is_rejected():
@@ -259,9 +271,17 @@ def test_bad_configs_exit_2_naming_the_field(scenario, mutation, data):
         ("linreg", "n_outputs", 0),
         ("dnn", "n_inputs", 0),
         ("dnn", "n_features", 0),
+        # a dotted field lives outside the scenario block
+        ("linreg", "weights.beta", -1.0),
+        ("linreg", "costs.c_fast", -1.0),
+        ("dnn", "weights.alpha", 0.0),
+        ("dnn", "costs.c_slow", -1.0),
     ],
 )
 def test_out_of_range_block_values_exit_2_naming_the_field(scenario, field, value):
     doc = _defaults(scenario)
-    doc[scenario] = dict(doc[scenario], **{field: value})
-    _assert_config_error(*_cli_with_config(doc, scenario), f"{scenario}.{field}")
+    block, _, key = field.rpartition(".")
+    name = field if block else f"{scenario}.{field}"
+    block = block or scenario
+    doc[block] = dict(doc[block], **{key: value})
+    _assert_config_error(*_cli_with_config(doc, scenario), f"{name}: ")

@@ -7,7 +7,6 @@ from fastslow.dnnproxy import (
     MULTIPLICATIVE,
     TAIL,
     ProbabilisticBound,
-    ProxyPair,
     expected_loss_bound_dnn,
     make_proxy_pair,
     select_dnn,
@@ -178,15 +177,3 @@ def test_select_dnn_scale_invariant():
             a1 = select_dnn(y, b, RewardWeights(alpha, beta), c)
             a2 = select_dnn(y, b, RewardWeights(k * alpha, k * beta), c)
             assert a1 == a2
-
-
-def test_pair_serialization_round_trip(tmp_path):
-    pair = _pair(seed=19, delta=0.3)
-    path = tmp_path / "proxy.json"
-    pair.save(path)
-    loaded = ProxyPair.load(path)
-    x = np.array([0.5, -0.2, 0.1, 0.9])
-    assert np.array_equal(loaded.slow_output(x), pair.slow_output(x))
-    y1, b1 = pair.fast_with_branch(x, 7)
-    y2, b2 = loaded.fast_with_branch(x, 7)
-    assert np.array_equal(y1, y2) and b1 == b2

@@ -31,14 +31,6 @@ def test_box_rejects_crossed_bounds():
         Box(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
-def test_box_empty_is_explicit():
-    e = Box.empty(2)
-    assert e.is_empty
-    assert not e.contains_point([0.0, 0.0])
-    assert not e.overlaps(Box.point([0.0, 0.0]))
-    assert Box.point([0.0, 0.0]).contains_box(e)
-
-
 def test_box_overlap_is_closed():
     a = Box(np.array([0.0]), np.array([1.0]))
     b = Box(np.array([1.0]), np.array([2.0]))
@@ -137,9 +129,9 @@ def test_required_samples_validation():
 
 
 def test_config_derives_samples_and_cost():
-    cfg = StatReachConfig(0.9, 0.05, 2, 5, cost_per_sample=1e-3)
+    cfg = StatReachConfig(0.9, 0.05, 2, 5)
     assert cfg.n_samples == 1196
-    assert cfg.cost == pytest.approx(1.196)
+    assert cfg.cost == pytest.approx(0.1196)
     explicit = StatReachConfig(0.9, 0.05, 2, 5, cost=7.0)
     assert explicit.cost == 7.0
 
@@ -252,7 +244,7 @@ def test_bloat_is_additive():
 
 
 def _result(boxes):
-    return ReachResult(np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]), 1, 0.0)
+    return ReachResult(np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]), 1)
 
 
 def test_calibrate_contained_gives_zero():
@@ -357,12 +349,6 @@ def test_statistical_containment_single_hull():
     assert contained / 200 >= 0.9
 
 
-def test_interval_matrix_json_round_trip():
-    lam = example_interval_matrix()
-    back = IntervalMatrix.from_dict(lam.to_dict())
-    assert np.array_equal(back.lo, lam.lo) and np.array_equal(back.hi, lam.hi)
-
-
 def test_policy_soundness_on_calibration_scenarios():
     # Whenever the bloated fast verdict is safe, the slow set must be safe too
     # on the runs the calibration covered.
@@ -435,7 +421,7 @@ def test_array_verdict_matches_per_box_loss_nav(data, n, mu):
     obstacles = data.draw(_boxes(2, 0, 4))  # none: a free map
     position = tuple(data.draw(st.permutations(range(n)))[:2])
     unsafe = UnsafeSet(tuple(obstacles), position)
-    result = ReachResult(np.array([b.lo for b in steps]), np.array([b.hi for b in steps]), 1, 0.0)
+    result = ReachResult(np.array([b.lo for b in steps]), np.array([b.hi for b in steps]), 1)
     bloated = [bloat(b, mu) for b in steps]
     expected = _per_box_loss_nav(bloated, unsafe)
     assert loss_nav(bloat(result, mu), unsafe) == expected
@@ -445,7 +431,7 @@ def test_array_verdict_matches_per_box_loss_nav(data, n, mu):
 
 
 def test_array_verdict_counts_touching_edges():
-    result = ReachResult(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [2.0, 2.0]]), 1, 0.0)
+    result = ReachResult(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [2.0, 2.0]]), 1)
     corner = UnsafeSet((Box(np.array([2.0, 2.0]), np.array([3.0, 3.0])),), (0, 1))
     apart = UnsafeSet((Box(np.array([2.0, 2.25]), np.array([3.0, 3.0])),), (0, 1))
     assert loss_nav(result, corner) == math.inf
@@ -473,7 +459,7 @@ def test_array_calibrate_bloat_matches_the_sequential_loop(data, n_runs, horizon
         pair = []
         for _ in range(2):
             lo = data.draw(arrays(float, (horizon, n), elements=values))
-            pair.append(ReachResult(lo, lo + data.draw(arrays(float, (horizon, n), elements=widths)), 1, 0.0))
+            pair.append(ReachResult(lo, lo + data.draw(arrays(float, (horizon, n), elements=widths)), 1))
         runs.append(tuple(pair))
     got, want = calibrate_bloat(runs), _sequential_mu(runs)
     assert got.mu == want and np.signbit(got.mu) == np.signbit(want)
@@ -482,8 +468,8 @@ def test_array_calibrate_bloat_matches_the_sequential_loop(data, n_runs, horizon
 
 def test_calibrate_zero_deficit_gives_positive_zero():
     # -0.0 - 0.0 is a deficit of -0.0; mu stays the +0.0 it starts from
-    fast = ReachResult(np.array([[-0.0]]), np.array([[1.0]]), 1, 0.0)
-    slow = ReachResult(np.array([[0.0]]), np.array([[0.5]]), 1, 0.0)
+    fast = ReachResult(np.array([[-0.0]]), np.array([[1.0]]), 1)
+    slow = ReachResult(np.array([[0.0]]), np.array([[0.5]]), 1)
     mu = calibrate_bloat([(fast, slow)]).mu
     assert mu == 0.0 and not np.signbit(mu)
     assert _sequential_mu([(fast, slow)]) == mu

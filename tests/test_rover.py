@@ -129,13 +129,9 @@ def test_linearize_matches_finite_differences():
             assert np.max(np.abs(col - B[:, j])) < 1e-4
 
 
-def _some_controls(k=5):
-    return [RoverControl(0.1, 0.05)] * k
-
-
 def test_uncertain_dynamics_degenerate_eta():
     A, B = linearize(RoverState(0, 0, 0.2, 1.0), RoverControl(0.1, 0.05), P)
-    lam = build_uncertain_dynamics(A, B, _some_controls(), 0.0, horizon=5)
+    lam = build_uncertain_dynamics(A, B, 0.0, (2,))
     assert np.array_equal(lam.lo, lam.hi)
     assert np.array_equal(lam.lo[:4, :4], A)
     assert np.array_equal(lam.lo[:4, 4:], B)
@@ -146,32 +142,24 @@ def test_uncertain_dynamics_yaw_row_interval():
     A = np.zeros((4, 4))
     A[2, 2] = 0.1
     B = np.zeros((4, 2))
-    lam = build_uncertain_dynamics(A, B, _some_controls(), 0.05, horizon=5)
+    lam = build_uncertain_dynamics(A, B, 0.05, (2,))
     assert lam.lo[2, 2] == pytest.approx(0.095)
     assert lam.hi[2, 2] == pytest.approx(0.105)
     # negative entries keep interval order
     A[2, 3] = -0.2
-    lam = build_uncertain_dynamics(A, B, _some_controls(), 0.05, horizon=5)
+    lam = build_uncertain_dynamics(A, B, 0.05, (2,))
     assert lam.lo[2, 3] == pytest.approx(-0.21)
     assert lam.hi[2, 3] == pytest.approx(-0.19)
 
 
 def test_uncertain_dynamics_only_yaw_row_widens():
     A, B = linearize(RoverState(0, 0, 0.4, 1.0), RoverControl(0.1, 0.2), P)
-    lam = build_uncertain_dynamics(A, B, _some_controls(), 0.05, horizon=5)
+    lam = build_uncertain_dynamics(A, B, 0.05, (2,))
     width = lam.hi - lam.lo
     mask = np.zeros_like(width, dtype=bool)
     mask[2] = True
     assert np.all(width[~mask] == 0.0)
     assert np.any(width[2] > 0.0)
-
-
-def test_uncertain_dynamics_horizon_mismatch():
-    A, B = linearize(RoverState(0, 0, 0, 1.0), RoverControl(0, 0), P)
-    with pytest.raises(ValueError, match="horizon mismatch"):
-        build_uncertain_dynamics(A, B, _some_controls(3), 0.05, horizon=5)
-    with pytest.raises(ValueError, match="horizon mismatch"):
-        build_uncertain_dynamics(A, B, [], 0.05)
 
 
 def test_mpc_on_reference_is_quiet():
@@ -324,9 +312,7 @@ def _reference_navigation(scn, kind, seed, bloat_mu):
         controls = mpc_track(ref, state, scn.mpc_horizon, scn.params, scn.cruise_speed)
         u0 = controls[0]
         A, B = linearize(state, u0, scn.params)
-        lam = build_uncertain_dynamics(
-            A, B, controls, scn.params.yaw_uncertainty, horizon=scn.reach_horizon, perturb_rows=scn.perturb_rows
-        )
+        lam = build_uncertain_dynamics(A, B, scn.params.yaw_uncertainty, scn.perturb_rows)
         z0 = augmented_start(state, u0)
         fast = reach_sampled(lam, z0, scn.fast_cfg, role_rng(seed, t, "fast"))
         fast_bloated = [bloat(b, bloat_mu) for b in fast.boxes]
@@ -444,9 +430,7 @@ def test_scenario_perturb_rows_override():
     )
     assert scn.perturb_rows == (2, 3)
     A, B = linearize(RoverState(0, 0, 0.3, 1.0), RoverControl(0.2, 0.1), scn.params)
-    lam = build_uncertain_dynamics(
-        A, B, _some_controls(), scn.params.yaw_uncertainty, horizon=5, perturb_rows=scn.perturb_rows
-    )
+    lam = build_uncertain_dynamics(A, B, scn.params.yaw_uncertainty, scn.perturb_rows)
     width = lam.hi - lam.lo
     assert np.any(width[3] > 0.0)
     assert np.all(width[0] == 0.0) and np.all(width[1] == 0.0)

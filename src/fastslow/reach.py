@@ -1,70 +1,22 @@
 """Statistical reachable sets for uncertain linear systems.
 
 Dynamics matrices live in an interval matrix (entrywise lower/upper bounds).
-Reachable sets are axis-aligned boxes: each sampled matrix propagates the
-initial box exactly by interval arithmetic, and the reported set per timestep
-is the componentwise hull over all samples. The sample count is chosen so
+Reachable sets and obstacles are axis-aligned boxes, held as (k, n) arrays
+of lower and upper bounds, one row per box. Each sampled matrix carries the
+start point along its own trajectory, and the reported set per timestep is
+the componentwise hull over all samples. The sample count is chosen so
 that, per facet and with a union bound over every facet at every timestep,
 a fresh sampled trajectory stays inside the hull with probability at least p,
 at confidence 1 - delta.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .policy import Action
-
-
-@dataclass(frozen=True, eq=False)
-class Box:
-    """Non-empty axis-aligned box [lo, hi]: lo <= hi coordinatewise."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Box):
-            return NotImplemented
-        return bool(np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi))
-
-    def __post_init__(self) -> None:
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape:
-            raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
-        if np.any(lo > hi):
-            raise ValueError("crossed bounds: lo exceeds hi")
-
-    @classmethod
-    def point(cls, x) -> "Box":
-        x = np.asarray(x, dtype=float)
-        return cls(x, x.copy())
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    def contains_point(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
-
-    def contains_box(self, other: "Box") -> bool:
-        return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
-
-    def overlaps(self, other: "Box") -> bool:
-        """Closed-set overlap: touching boundaries count."""
-        return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
-
-    def project(self, indices) -> "Box":
-        idx = np.asarray(indices, dtype=int)
-        return Box(self.lo[idx], self.hi[idx])
 
 
 @dataclass(frozen=True)
@@ -151,48 +103,41 @@ class StatReachConfig:
             object.__setattr__(self, "cost", n * COST_PER_SAMPLE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnsafeSet:
-    """Obstacle boxes living in a subset of the state coordinates. `lo` and
-    `hi` stack the boxes' bounds as (k, len(position_indices)) arrays."""
+    """Obstacle boxes living in a subset of the state coordinates: row i of
+    the (k, len(position_indices)) arrays `lo` and `hi` bounds obstacle i,
+    and a free map has k = 0."""
 
-    boxes: tuple[Box, ...]
+    lo: np.ndarray
+    hi: np.ndarray
     position_indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        object.__setattr__(self, "position_indices", tuple(int(i) for i in self.position_indices))
-        if len(self.position_indices) == 0:
+        lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+        idx = tuple(int(i) for i in self.position_indices)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "position_indices", idx)
+        if len(idx) == 0:
             raise ValueError("position index list must be non-empty")
-        for b in self.boxes:
-            if b.dim != len(self.position_indices):
-                raise ValueError("obstacle dimension does not match the position subspace")
-        shape = (len(self.boxes), len(self.position_indices))
-        object.__setattr__(self, "lo", np.array([b.lo for b in self.boxes]).reshape(shape))
-        object.__setattr__(self, "hi", np.array([b.hi for b in self.boxes]).reshape(shape))
-
-    @property
-    def is_free(self) -> bool:
-        return len(self.boxes) == 0
+        if lo.ndim != 2 or lo.shape[1] != len(idx) or hi.shape != lo.shape:
+            raise ValueError(f"obstacle bounds must be (k, {len(idx)}) arrays, got {lo.shape} and {hi.shape}")
+        if np.any(lo > hi):
+            raise ValueError("crossed bounds: lo exceeds hi")
 
 
 @dataclass(frozen=True, eq=False)
 class ReachResult:
     """Per-timestep hulls (timesteps 1..t) as (t, n) arrays of lower and upper
-    bounds, and the number of sampled matrices behind them."""
+    bounds."""
 
     lo: np.ndarray
     hi: np.ndarray
-    n_samples: int
 
     @property
     def horizon(self) -> int:
         return self.lo.shape[0]
-
-    @cached_property
-    def boxes(self) -> tuple[Box, ...]:
-        """The hulls as Boxes, built on first use."""
-        return tuple(Box(lo, hi) for lo, hi in zip(self.lo, self.hi))
 
 
 def sample_matrix(lam: IntervalMatrix, rng: np.random.Generator) -> np.ndarray:
@@ -208,89 +153,60 @@ def _uniform_rows(low: np.ndarray, high: np.ndarray, n: int, rng: np.random.Gene
     return low + (high - low) * rng.random((n, low.size))
 
 
-def _split_signs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.maximum(A, 0.0), np.maximum(-A, 0.0)
-
-
-def _step_bounds(Ap: np.ndarray, An: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    # Shared kernel for the single and batched cases so both reduce in the
-    # same order and agree bit for bit. bounds stacks (lo, hi) along the last
-    # axis: new_lo = Ap @ lo - An @ hi and new_hi = Ap @ hi - An @ lo.
-    return Ap @ bounds - An @ bounds[..., ::-1]
-
-
-def step_box(A: np.ndarray, box: Box) -> Box:
-    """Tightest axis-aligned box containing {A x : x in box}."""
+def step_box(A: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the tightest axis-aligned box containing {A x : lo <= x <= hi},
+    by exact interval arithmetic."""
     A = np.asarray(A, dtype=float)
-    if A.shape[1] != box.dim:
-        raise ValueError(f"matrix columns {A.shape[1]} do not match box dimension {box.dim}")
-    Ap, An = _split_signs(A)
-    out = _step_bounds(Ap, An, np.stack([box.lo, box.hi], axis=-1))
-    return Box(out[..., 0], out[..., 1])
+    if A.shape[1] != lo.shape[0]:
+        raise ValueError(f"matrix columns {A.shape[1]} do not match box dimension {lo.shape[0]}")
+    Ap, An = np.maximum(A, 0.0), np.maximum(-A, 0.0)
+    return Ap @ lo - An @ hi, Ap @ hi - An @ lo
 
 
 def reach_sampled(
     lam: IntervalMatrix,
-    x0: Box,
+    x0: np.ndarray,
     cfg: StatReachConfig,
     rng: np.random.Generator,
 ) -> ReachResult:
-    """Sampled-hull reachable sets over cfg.horizon steps.
+    """Sampled-hull reachable sets from the start point x0 over cfg.horizon
+    steps.
 
-    Draws cfg.n_samples matrices, holds each fixed along its trajectory, and
-    propagates the initial box by exact interval arithmetic; the reported box
-    per timestep is the componentwise hull across samples. A point start
-    stays a point under each sample, so it takes a faster path that steps
-    the N trajectories as one (N, n) @ (n, n) product plus the sampled
-    entries; it agrees with the interval path up to rounding.
+    Draws cfg.n_samples matrices A_s, holds each fixed along its trajectory
+    x_{k+1} = A_s x_k, and reports per timestep the componentwise hull of the
+    N states. The N trajectories step as one (n, n) @ (n, N) product of the
+    fixed entries plus the sampled entries.
     """
     n = lam.dim
-    if x0.dim != n:
-        raise ValueError(f"initial box dimension {x0.dim} does not match system dimension {n}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"start point shape {x0.shape} does not match system dimension {n}")
     N = cfg.n_samples
     # Draw only the entries with nonzero interval width; the rest are fixed.
     rows, cols = np.nonzero(lam.hi - lam.lo)
     draws = _uniform_rows(lam.lo[rows, cols], lam.hi[rows, cols], N, rng)
-    lo, hi = np.empty((cfg.horizon, n)), np.empty((cfg.horizon, n))
-    if np.array_equal(x0.lo, x0.hi):
-        _point_hulls(lam.lo, rows, cols, draws, x0.lo, lo, hi)
-        return ReachResult(lo, hi, N)
-    A = np.broadcast_to(lam.lo, (N, n, n)).copy()
-    A[:, rows, cols] = draws
-    Ap, An = _split_signs(A)
-    bounds = np.broadcast_to(np.stack([x0.lo, x0.hi], axis=-1), (N, n, 2)).copy()
-    for k in range(cfg.horizon):
-        bounds = _step_bounds(Ap, An, bounds)
-        bounds[:, :, 0].min(axis=0, out=lo[k])
-        bounds[:, :, 1].max(axis=0, out=hi[k])
-    return ReachResult(lo, hi, N)
-
-
-def _point_hulls(lo, rows, cols, draws, x0, hull_lo, hull_hi) -> None:
-    """Per-timestep hulls of the trajectories x_{k+1} = A_s x_k from the point
-    x0, where A_s is lo with entry (rows[e], cols[e]) set to draws[s, e],
-    reduced into the rows of hull_lo and hull_hi."""
+    fixed = lam.lo.copy()
+    fixed[rows, cols] = 0.0
     # Samples run along the last axis. The steps reuse two state buffers: fresh
     # (n, N) arrays go back to the OS on free and page-fault in again per call.
-    fixed = lo.copy()
-    fixed[rows, cols] = 0.0
-    x = np.repeat(x0[:, None], draws.shape[0], axis=1)
+    x = np.repeat(x0[:, None], N, axis=1)
     nxt, term = np.empty_like(x), np.empty_like(x[0])
-    for k in range(hull_lo.shape[0]):
+    lo, hi = np.empty((cfg.horizon, n)), np.empty((cfg.horizon, n))
+    for k in range(cfg.horizon):
         np.matmul(fixed, x, out=nxt)
         for e, (r, c) in enumerate(zip(rows, cols)):
             nxt[r] += np.multiply(draws[:, e], x[c], out=term)
         x, nxt = nxt, x
-        x.min(axis=1, out=hull_lo[k])
-        x.max(axis=1, out=hull_hi[k])
+        x.min(axis=1, out=lo[k])
+        x.max(axis=1, out=hi[k])
+    return ReachResult(lo, hi)
 
 
-def bloat(sets, mu: float):
-    """Minkowski sum of a Box, or of every timestep box of a ReachResult, with
-    the inf-norm ball of radius mu."""
+def bloat(result: ReachResult, mu: float) -> ReachResult:
+    """Minkowski sum of every timestep box with the inf-norm ball of radius mu."""
     if mu < 0:
         raise ValueError(f"bloat radius must be non-negative, got {mu}")
-    return dataclasses.replace(sets, lo=sets.lo - mu, hi=sets.hi + mu)
+    return ReachResult(result.lo - mu, result.hi + mu)
 
 
 @dataclass(frozen=True)
@@ -323,30 +239,15 @@ def calibrate_bloat(calibration_runs: list[tuple[ReachResult, ReachResult]]) -> 
     return CalibrationResult(mu, eps, len(calibration_runs))
 
 
-def _touches(lo: np.ndarray, hi: np.ndarray, unsafe: UnsafeSet) -> bool:
-    """Closed-set test: does any row of the (k, n) boxes [lo, hi], projected
-    onto the position coordinates, touch an obstacle box?"""
+def loss_nav(result: ReachResult, unsafe: UnsafeSet) -> float:
+    """0 when every timestep box, projected onto the position coordinates,
+    avoids every obstacle box, +inf otherwise. The sets are closed: touching
+    counts as a hit."""
     idx = list(unsafe.position_indices)
-    if max(idx) >= lo.shape[1]:
-        raise IndexError(f"position index {max(idx)} out of range for dimension {lo.shape[1]}")
-    plo, phi = lo[:, None, idx], hi[:, None, idx]
-    return bool(np.any(np.all((plo <= unsafe.hi) & (unsafe.lo <= phi), axis=-1)))
-
-
-def intersects(box: Box, unsafe: UnsafeSet) -> bool:
-    """Closed-set test: does the projection onto the position coordinates
-    touch any obstacle box?"""
-    return _touches(box.lo[None], box.hi[None], unsafe)
-
-
-def loss_nav(step_sets, unsafe: UnsafeSet) -> float:
-    """0 when every timestep set avoids the unsafe set, +inf otherwise.
-    `step_sets` is a ReachResult, tested on its arrays at once, or a sequence
-    of Boxes."""
-    if isinstance(step_sets, ReachResult):
-        hit = _touches(step_sets.lo, step_sets.hi, unsafe)
-    else:
-        hit = any(intersects(box, unsafe) for box in step_sets)
+    if max(idx) >= result.lo.shape[1]:
+        raise IndexError(f"position index {max(idx)} out of range for dimension {result.lo.shape[1]}")
+    plo, phi = result.lo[:, None, idx], result.hi[:, None, idx]
+    hit = np.any(np.all((plo <= unsafe.hi) & (unsafe.lo <= phi), axis=-1))
     return math.inf if hit else 0.0
 
 

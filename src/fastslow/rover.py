@@ -25,7 +25,6 @@ from .policy import (
     summarize,
 )
 from .reach import (
-    Box,
     IntervalMatrix,
     ReachResult,
     StatReachConfig,
@@ -152,11 +151,6 @@ def build_uncertain_dynamics(A: np.ndarray, B: np.ndarray, eta: float, perturb_r
         lo[r] = np.minimum(m[r] * (1.0 - eta), m[r] * (1.0 + eta))
         hi[r] = np.maximum(m[r] * (1.0 - eta), m[r] * (1.0 + eta))
     return IntervalMatrix(lo, hi)
-
-
-def augmented_start(s: RoverState, u: RoverControl) -> Box:
-    """Point box over the concatenated (state, control) vector."""
-    return Box.point(np.concatenate([s.as_vector(), u.as_vector()]))
 
 
 DEFAULT_Q = np.diag([1.0, 1.0, 0.5, 0.5])
@@ -314,6 +308,8 @@ class RoverScenario:
         except ValueError as exc:
             raise ConfigError(f"waypoints: {exc}") from exc
         object.__setattr__(self, "waypoints", wp)
+        if math.hypot(self.initial_state.x - wp[-1][0], self.initial_state.y - wp[-1][1]) <= self.goal_tolerance:
+            raise ConfigError("initial_state: already within goal_tolerance of the last waypoint; no step to assess")
         if self.slow_cfg.type1_error > self.fast_cfg.type1_error:
             warnings.warn("slow reachability allows a larger type-I error than fast", stacklevel=2)
         if not self.slow_cfg.cost > self.fast_cfg.cost:
@@ -330,12 +326,12 @@ class RoverScenario:
 class RolloutStep:
     """One decision point: the state, the first planned control (executed
     unless the episode stops here), and the uncertain augmented dynamics and
-    start box that the reachability routines assess."""
+    (state, control) start point that the reachability routines assess."""
 
     state: RoverState
     control: RoverControl
     dynamics: IntervalMatrix
-    start_box: Box
+    start: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +360,7 @@ def nominal_rollout(scn: RoverScenario) -> Rollout:
         u0 = controls[0]
         A, B = linearize(state, u0, scn.params)
         lam = build_uncertain_dynamics(A, B, scn.params.yaw_uncertainty, scn.perturb_rows)
-        steps.append(RolloutStep(state, u0, lam, augmented_start(state, u0)))
+        steps.append(RolloutStep(state, u0, lam, np.concatenate([state.as_vector(), u0.as_vector()])))
         state = bicycle_step(state, u0, scn.params)
     return Rollout(steps, state, False)
 
@@ -388,8 +384,8 @@ def evaluate_navigation(scn: RoverScenario, rollout: Rollout, seed: int, bloat_m
     unsafe: every policy has stopped by then."""
     fast, slow, loss_fast, loss_slow = [], [], [], []
     for t, step in enumerate(rollout.steps):
-        fast.append(reach_sampled(step.dynamics, step.start_box, scn.fast_cfg, role_rng(seed, t, "fast")))
-        slow.append(reach_sampled(step.dynamics, step.start_box, scn.slow_cfg, role_rng(seed, t, "slow")))
+        fast.append(reach_sampled(step.dynamics, step.start, scn.fast_cfg, role_rng(seed, t, "fast")))
+        slow.append(reach_sampled(step.dynamics, step.start, scn.slow_cfg, role_rng(seed, t, "slow")))
         loss_fast.append(loss_nav(bloat(fast[-1], bloat_mu), scn.obstacles))
         loss_slow.append(loss_nav(slow[-1], scn.obstacles))
         if loss_fast[-1] == loss_slow[-1] == math.inf:
@@ -450,14 +446,15 @@ def calibrate_scenario(scn: RoverScenario, rollout: Rollout, seed: int, repeats:
     pairs = []
     for i, step in enumerate(rollout.steps):
         for r in range(repeats):
-            fast = reach_sampled(step.dynamics, step.start_box, scn.fast_cfg, rng_for(seed, ROVER_CALIB_TAG, i, r, 0))
-            slow = reach_sampled(step.dynamics, step.start_box, scn.slow_cfg, rng_for(seed, ROVER_CALIB_TAG, i, r, 1))
+            fast = reach_sampled(step.dynamics, step.start, scn.fast_cfg, rng_for(seed, ROVER_CALIB_TAG, i, r, 0))
+            slow = reach_sampled(step.dynamics, step.start, scn.slow_cfg, rng_for(seed, ROVER_CALIB_TAG, i, r, 1))
             pairs.append((fast, slow))
     return calibrate_bloat(pairs)
 
 
-def obstacles_from_points(points: np.ndarray, cell_size: float) -> list[Box]:
-    """Grid-bin scattered (x, y) points into occupied cells.
+def obstacles_from_points(points: np.ndarray, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid-bin scattered (x, y) points into occupied cells, returned as the
+    (k, 2) lower and upper bounds of the cells in np.unique order.
 
     Lets externally derived terrain (for example elevation-thresholded point
     clouds) feed the obstacle map.
@@ -468,7 +465,7 @@ def obstacles_from_points(points: np.ndarray, cell_size: float) -> list[Box]:
     if cell_size <= 0:
         raise ValueError("cell size must be positive")
     cells = np.unique(np.floor(points / cell_size).astype(int), axis=0)
-    return [Box(c * cell_size, (c + 1) * cell_size) for c in cells]
+    return cells * cell_size, (cells + 1) * cell_size
 
 
 def load_points_csv(path: str | Path) -> np.ndarray:
@@ -505,11 +502,10 @@ MAP_DEFAULTS = {
 _OBSTACLE = {"lo": [0.0], "hi": [0.0]}
 
 
-def _obstacle_box(lo: list, hi: list) -> Box:
-    box = Box(np.array(lo), np.array(hi))
-    if box.dim != 2:
-        raise ValueError(f"an obstacle is an (x, y) box, got {box.dim} coordinates")
-    return box
+def _obstacle(lo: list, hi: list) -> tuple[np.ndarray, np.ndarray]:
+    """One inline (x, y) obstacle's (1, 2) bounds, checked as a map of one obstacle."""
+    one = UnsafeSet(np.array([lo], dtype=float), np.array([hi], dtype=float), (0, 1))
+    return one.lo, one.hi
 
 
 def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
@@ -522,8 +518,9 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
         )
         for role, cost in (("fast_reach", "c_fast"), ("slow_reach", "c_slow"))
     )
-    boxes = [
-        checked(f"obstacles[{i}]", _obstacle_box, merge(_OBSTACLE, o, f"obstacles[{i}]", ("lo", "hi")))
+    parts = [(np.empty((0, 2)), np.empty((0, 2)))]  # a free map has no rows
+    parts += [
+        checked(f"obstacles[{i}]", _obstacle, merge(_OBSTACLE, o, f"obstacles[{i}]", ("lo", "hi")))
         for i, o in enumerate(d["obstacles"])
     ]
     if d["points_csv"]:
@@ -534,9 +531,13 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
             csv_path = base_dir / csv_path
         if not csv_path.exists():
             raise ConfigError(f"points_csv: file not found: {csv_path}")
-        boxes += obstacles_from_points(load_points_csv(csv_path), d["cell_size"])
+        try:
+            parts.append(obstacles_from_points(load_points_csv(csv_path), d["cell_size"]))
+        except ValueError as exc:
+            raise ConfigError(f"points_csv: {exc}") from exc
+    lo, hi = (np.concatenate(side) for side in zip(*parts))
     return RoverScenario(
-        obstacles=UnsafeSet(tuple(boxes), (0, 1)),
+        obstacles=UnsafeSet(lo, hi, (0, 1)),
         initial_state=RoverState(**d["initial_state"]),
         fast_cfg=fast_cfg,
         slow_cfg=slow_cfg,

@@ -115,10 +115,19 @@ def test_map_params_out_of_range_names_the_dotted_field(tmp_path):
         ({"weights": {"alpha": 0, "beta": 0.3}}, "weights.alpha"),
         # exited 2 without naming the field
         ({"points_csv": "cloud.csv", "cell_size": 0}, "cell_size"),
+        # exited 1 with "calibration set is empty": the rollout had no step
+        ({"initial_state": {"x": 5.8, "y": 0.1, "yaw": 0.0, "v": 0.0}}, "initial_state"),
+        # each exited 2 without naming the field
+        ({"points_csv": "xyz.csv", "cell_size": 0.5}, "points_csv"),
+        ({"points_csv": "x.csv", "cell_size": 0.5}, "points_csv"),
+        ({"points_csv": "words.csv", "cell_size": 0.5}, "points_csv"),
     ],
 )
 def test_map_values_out_of_range_name_the_field(tmp_path, change, field):
     (tmp_path / "cloud.csv").write_text("x,y\n1.1,1.2\n")
+    (tmp_path / "xyz.csv").write_text("x,y,z\n1.1,1.2,0.3\n")
+    (tmp_path / "x.csv").write_text("x\n1.1\n")
+    (tmp_path / "words.csv").write_text("x,y\n1.1,1.2\nfoo,1.0\n")
     map_path = tmp_path / "bad_map.json"
     map_path.write_text(json.dumps(dict(MINI_MAP, **change)))
     rc, err = _cli_with_config(_defaults("rover", rover={"maps": [str(map_path)]}), "rover")

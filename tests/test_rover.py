@@ -20,7 +20,7 @@ from fastslow.policy import (
     step_reward,
     summarize,
 )
-from fastslow.reach import Box, StatReachConfig, UnsafeSet, bloat, loss_nav, reach_sampled
+from fastslow.reach import StatReachConfig, UnsafeSet, bloat, loss_nav, reach_sampled
 from fastslow.rover import (
     DEFAULT_Q,
     DEFAULT_R,
@@ -28,7 +28,6 @@ from fastslow.rover import (
     RoverParams,
     RoverScenario,
     RoverState,
-    augmented_start,
     bicycle_step,
     build_tracking_problem,
     build_uncertain_dynamics,
@@ -219,10 +218,12 @@ def test_mpc_validation():
 
 
 def _tiny_scenario(obstacles=(), step_cap=400, waypoints=((0.0, 0.0), (10.0, 0.0))):
+    """A straight map; `obstacles` lists (lo, hi) pairs of (x, y) boxes."""
+    bounds = np.array(obstacles, dtype=float).reshape(-1, 2, 2)
     return RoverScenario(
         name="tiny",
         waypoints=np.array(waypoints),
-        obstacles=UnsafeSet(tuple(obstacles), (0, 1)),
+        obstacles=UnsafeSet(bounds[:, 0], bounds[:, 1], (0, 1)),
         initial_state=RoverState(0.0, 0.0, 0.0, 0.0),
         goal_tolerance=0.6,
         reach_horizon=3,
@@ -241,11 +242,11 @@ POLICIES = {
     "our_selector": lambda: BoundThresholdPolicy(lambda verdict: verdict),
     "oracle": OraclePolicy,
 }
-BLOCKING = Box(np.array([4.0, -1.0]), np.array([6.0, 1.0]))
+BLOCKING = ([4.0, -1.0], [6.0, 1.0])
 # On a bend the sampled yaw-row entries spread the reach sets, so the keyed
 # draws show in the boxes; the obstacle sits next to the bend.
 BEND = ((0.0, 0.0), (5.0, 0.0), (10.0, 3.0))
-NEAR_BEND = Box(np.array([6.5, 1.3]), np.array([7.5, 2.0]))
+NEAR_BEND = ([6.5, 1.3], [7.5, 2.0])
 
 
 def _navigate(scn, kind, seed, bloat_mu):
@@ -285,7 +286,7 @@ def test_navigation_step_cap_reports_nonconvergence():
 # -- the per-step loop that one rollout per map replaced, kept as the reference --
 
 
-def _reference_decide(kind, fast_bloated, slow_boxes, unsafe, weights, costs):
+def _reference_decide(kind, fast_bloated, slow_sets, unsafe, weights, costs):
     if kind == "fast":
         return Action.USE_FAST, 0.0
     if kind == "slow":
@@ -293,7 +294,7 @@ def _reference_decide(kind, fast_bloated, slow_boxes, unsafe, weights, costs):
     fast_hit = loss_nav(fast_bloated, unsafe)
     if kind == "our_selector":
         return (Action.INVOKE_SLOW, math.inf) if fast_hit == math.inf else (Action.USE_FAST, 0.0)
-    loss_slow = loss_nav(slow_boxes(), unsafe)
+    loss_slow = loss_nav(slow_sets(), unsafe)
     gain = math.inf if (fast_hit == math.inf and loss_slow == 0.0) else 0.0
     return policy_oracle(fast_hit, loss_slow, weights, costs), gain
 
@@ -313,18 +314,18 @@ def _reference_navigation(scn, kind, seed, bloat_mu):
         u0 = controls[0]
         A, B = linearize(state, u0, scn.params)
         lam = build_uncertain_dynamics(A, B, scn.params.yaw_uncertainty, scn.perturb_rows)
-        z0 = augmented_start(state, u0)
+        z0 = np.concatenate([state.as_vector(), u0.as_vector()])
         fast = reach_sampled(lam, z0, scn.fast_cfg, role_rng(seed, t, "fast"))
-        fast_bloated = [bloat(b, bloat_mu) for b in fast.boxes]
+        fast_bloated = bloat(fast, bloat_mu)
         slow = []
 
-        def slow_boxes():
+        def slow_sets():
             if not slow:
                 slow.append(reach_sampled(lam, z0, scn.slow_cfg, role_rng(seed, t, "slow")))
-            return slow[0].boxes
+            return slow[0]
 
-        action, gain = _reference_decide(kind, fast_bloated, slow_boxes, scn.obstacles, scn.weights, scn.costs)
-        loss = loss_nav(slow_boxes() if action == Action.INVOKE_SLOW else fast_bloated, scn.obstacles)
+        action, gain = _reference_decide(kind, fast_bloated, slow_sets, scn.obstacles, scn.weights, scn.costs)
+        loss = loss_nav(slow_sets() if action == Action.INVOKE_SLOW else fast_bloated, scn.obstacles)
         reward = step_reward(action, loss, scn.weights, scn.costs)
         records.append(StepRecord(t, action, loss, step_cost(action, scn.costs), reward, gain))
         reach.append((fast, slow[0] if slow else None))
@@ -338,6 +339,10 @@ def _reference_navigation(scn, kind, seed, bloat_mu):
         state = bicycle_step(state, u0, scn.params)
         states.append(state)
     return states, records, reach, reached, flagged
+
+
+def _same_sets(a, b) -> bool:
+    return np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
 
 
 @settings(deadline=None, max_examples=15)
@@ -363,16 +368,15 @@ def test_shared_rollout_reproduces_the_per_step_loop(case, seed, bloat_mu):
         assert list(map(repr, nav.states)) == list(map(repr, states)), kind
         assert (nav.reached_goal, nav.flagged_unsafe, nav.hit_step_cap) == (reached, flagged, not (reached or flagged))
         for t, (fast, slow) in enumerate(reach):
-            assert evaluation.fast[t].boxes == fast.boxes, (kind, t)
-            assert slow is None or evaluation.slow[t].boxes == slow.boxes, (kind, t)
+            assert _same_sets(evaluation.fast[t], fast), (kind, t)
+            assert slow is None or _same_sets(evaluation.slow[t], slow), (kind, t)
 
 
 def test_obstacles_from_points_bins_cells():
-    pts = np.array([[0.2, 0.3], [0.4, 0.1], [2.7, 3.1]])
-    boxes = obstacles_from_points(pts, 1.0)
-    assert len(boxes) == 2
-    assert any(b.contains_point([0.3, 0.2]) for b in boxes)
-    assert any(b.contains_point([2.5, 3.5]) for b in boxes)
+    pts = np.array([[2.7, 3.1], [0.2, 0.3], [0.4, 0.1]])
+    lo, hi = obstacles_from_points(pts, 1.0)
+    # one cell per occupied unit square, in np.unique order
+    assert np.array_equal(lo, [[0.0, 0.0], [2.0, 3.0]]) and np.array_equal(hi, [[1.0, 1.0], [3.0, 4.0]])
     with pytest.raises(ValueError):
         obstacles_from_points(np.zeros((3, 3)), 1.0)
     with pytest.raises(ValueError):
@@ -381,19 +385,22 @@ def test_obstacles_from_points_bins_cells():
 
 def test_scenario_from_points_csv(tmp_path):
     csv_path = tmp_path / "cloud.csv"
-    csv_path.write_text("x,y\n1.1,1.2\n1.3,1.4\n8.0,8.0\n")
+    csv_path.write_text("x,y\n8.0,8.0\n1.1,1.2\n1.3,1.4\n")
     scn = scenario_from_dict(
         {
             "name": "csv",
             "waypoints": [[0.0, 0.0], [10.0, 0.0]],
+            "obstacles": [{"lo": [4.0, -1.0], "hi": [5.0, 1.0]}],
             "points_csv": str(csv_path),
             "cell_size": 0.5,
             "fast_reach": {"confidence": 0.6, "type1_error": 0.3},
             "slow_reach": {"confidence": 0.85, "type1_error": 0.1},
         }
     )
-    # the two nearby points share one 0.5 m cell, the far point gets its own
-    assert len(scn.obstacles.boxes) == 2
+    # the inline obstacle first, then the cells in np.unique order: the two
+    # nearby points share one 0.5 m cell, the far point gets its own
+    assert np.array_equal(scn.obstacles.lo, [[4.0, -1.0], [1.0, 1.0], [8.0, 8.0]])
+    assert np.array_equal(scn.obstacles.hi, [[5.0, 1.0], [1.5, 1.5], [8.5, 8.5]])
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -442,6 +449,6 @@ def test_builtin_maps_load():
         assert scn.name == name
         assert scn.waypoints.shape[0] >= 2
     free = load_scenario(builtin_map_path("obstacle_free"))
-    assert free.obstacles.is_free
+    assert free.obstacles.lo.shape == free.obstacles.hi.shape == (0, 2)
     adj = load_scenario(builtin_map_path("obstacle_adjacent"))
-    assert len(adj.obstacles.boxes) == 1
+    assert adj.obstacles.lo.shape == adj.obstacles.hi.shape == (1, 2)

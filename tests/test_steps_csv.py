@@ -175,8 +175,8 @@ def _csv_writer_reach(writer, map_name, trial, policy, evaluation, nav) -> None:
         if action == Action.INVOKE_SLOW:
             results.append(("slow", evaluation.slow[t]))
         for model, result in results:
-            for k, box in enumerate(result.boxes, start=1):
-                row = [map_name, trial, policy, t, model, k] + [repr(float(v)) for v in (*box.lo, *box.hi)]
+            for k, (lo, hi) in enumerate(zip(result.lo, result.hi), start=1):
+                row = [map_name, trial, policy, t, model, k] + [repr(float(v)) for v in (*lo, *hi)]
                 writer.writerow(row)
 
 

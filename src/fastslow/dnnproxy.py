@@ -107,8 +107,6 @@ def make_proxy_pair(
 ) -> ProxyPair:
     """Draw a fixed random smooth predictor, with unit-scale feature weights,
     and wrap it into a corrupted pair."""
-    if not isinstance(bound, ProbabilisticBound):
-        bound = ProbabilisticBound(*bound)
     for field, size in (("n_inputs", n), ("n_features", n_features)):
         if size < 1:
             raise ValueError(f"{field} must be >= 1, got {size}")

@@ -508,7 +508,6 @@ def calibrate(cfg: ExperimentConfig, out_path: Path | None = None) -> list[dict]
     provenance) per map."""
     if cfg.scenario != "rover":
         raise ConfigError("calibrate applies to rover configs only")
-    normalize(cfg.config)  # the block may have changed since cfg was built
     artifacts = [artifact for _, _, artifact in _calibrated_maps(cfg)]
     if out_path is not None:
         Path(out_path).write_text(json.dumps(artifacts, sort_keys=True, indent=1))

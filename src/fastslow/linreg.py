@@ -40,12 +40,11 @@ class CoresetPair:
 
     Every scale lies in [1, 1+epsilon], so for any input with a non-negative
     slow output, y_fast is within [y_slow, (1+epsilon) * y_slow] coordinate
-    by coordinate. Evaluation applies the scales to the slow output directly,
-    which makes that sandwich exact in floating point as well.
+    by coordinate. The fast output applies the scales to the slow output
+    directly, which makes that sandwich exact in floating point as well.
     """
 
     slow: LinearModel
-    fast: LinearModel
     epsilon: float
     per_coord_scales: np.ndarray
 
@@ -56,17 +55,6 @@ class CoresetPair:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if np.any(s < 1.0) or np.any(s > 1.0 + self.epsilon):
             raise ValueError("per-coordinate scales must lie in [1, 1+epsilon]")
-
-    @classmethod
-    def from_slow(cls, slow: LinearModel, epsilon: float, scales: np.ndarray) -> "CoresetPair":
-        scales = np.asarray(scales, dtype=float)
-        fast = LinearModel(scales[:, None] * slow.A, scales * slow.b)
-        return cls(slow, fast, epsilon, scales)
-
-    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(y_fast, y_slow) with the coupling applied pointwise."""
-        y_slow = self.slow(x)
-        return self.per_coord_scales * y_slow, y_slow
 
     def fast_output(self, x: np.ndarray) -> np.ndarray:
         return self.per_coord_scales * self.slow(x)
@@ -110,7 +98,7 @@ def generate_coreset_pair(
     row_total = A.sum(axis=1) + b
     slow = LinearModel(A / row_total[:, None], b / row_total)
     scales = rng.uniform(1.0, 1.0 + epsilon, size=m)
-    return CoresetPair.from_slow(slow, epsilon, scales)
+    return CoresetPair(slow, epsilon, scales)
 
 
 def loss_l2(y1: np.ndarray, y2: np.ndarray) -> float | np.ndarray:

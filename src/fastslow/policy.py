@@ -250,18 +250,17 @@ class BoundThresholdPolicy:
     bound, a function of the fast outputs only, (T, m) -> (T,), against the
     threshold."""
 
-    def __init__(self, bound_fn: Callable[[np.ndarray], np.ndarray], name: str = "our_selector"):
+    name = "our_selector"
+
+    def __init__(self, bound_fn: Callable[[np.ndarray], np.ndarray]):
         self.bound_fn = bound_fn
-        self.name = name
 
     def decide(self, stream: EvaluatedStream, weights: RewardWeights, costs: CostSchedule):
         bound = np.asarray(self.bound_fn(stream.y_fast), dtype=float)
         return (decision_threshold(weights, costs) < bound).astype(int), bound
 
 
-def summarize(log: EpisodeLog | Iterable[StepRecord]) -> EpisodeSummary:
-    if not isinstance(log, EpisodeLog):
-        log = EpisodeLog.from_records(log)
+def summarize(log: EpisodeLog) -> EpisodeSummary:
     n = len(log)
     if n == 0:
         return EpisodeSummary(0.0, 0.0, 0.0, 0.0, 0)

@@ -36,11 +36,6 @@ class IntervalMatrix:
         if np.any(lo > hi):
             raise ValueError("lower bounds exceed upper bounds")
 
-    @classmethod
-    def exact(cls, A) -> "IntervalMatrix":
-        A = np.asarray(A, dtype=float)
-        return cls(A, A.copy())
-
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
@@ -78,29 +73,20 @@ def required_samples(p: float, delta: float, n: int, t: int) -> int:
     return n_samples
 
 
-# The cost of one sample when a routine's cost is left to its sample count.
-COST_PER_SAMPLE = 1e-4
-
-
 @dataclass(frozen=True)
 class StatReachConfig:
     """One reachability routine: confidence p, type-I error delta, horizon,
-    and the derived sample count. A negative cost stands for COST_PER_SAMPLE
-    times the sample count, mirroring that higher confidence needs more
-    compute."""
+    and the derived sample count."""
 
     confidence: float
     type1_error: float
     dim: int
     horizon: int
-    cost: float = field(default=-1.0)
-    n_samples: int = field(default=0)
+    n_samples: int = field(init=False)
 
     def __post_init__(self) -> None:
         n = required_samples(self.confidence, self.type1_error, self.dim, self.horizon)
         object.__setattr__(self, "n_samples", n)
-        if self.cost < 0:
-            object.__setattr__(self, "cost", n * COST_PER_SAMPLE)
 
 
 @dataclass(frozen=True, eq=False)

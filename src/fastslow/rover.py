@@ -40,6 +40,8 @@ from .seeding import ROVER_CALIB_TAG, role_rng, rng_for
 from .spline import ReferencePath, cubic_spline_plan
 
 AUG_DIM = 6  # (x, y, yaw, v) plus the two planned controls
+# The cost of one sample when a map leaves a routine's cost to its sample count.
+COST_PER_SAMPLE = 1e-4
 
 
 def wrap_angle(a: float) -> float:
@@ -220,52 +222,32 @@ def tracking_cost(problem: TrackingProblem, deltas: list[np.ndarray], Q: np.ndar
     return total
 
 
-def mpc_track(
-    ref: ReferencePath,
-    s: RoverState,
-    horizon: int,
-    p: RoverParams,
-    v_ref: float = 1.0,
-    Q: np.ndarray | None = None,
-    R: np.ndarray | None = None,
-) -> list[RoverControl]:
-    """Finite-horizon LQ tracking via the backward Riccati recursion.
+def mpc_track(ref: ReferencePath, s: RoverState, horizon: int, p: RoverParams, v_ref: float = 1.0) -> RoverControl:
+    """The first control of the finite-horizon LQ tracking plan, the one the
+    rover executes, from the backward Riccati recursion over the horizon.
 
     The affine drift (the spline reference is not exactly dynamically
     feasible) is folded in by augmenting the error state with a constant
-    coordinate. Returned controls are nominal + correction, clamped to the
-    actuator bounds.
+    coordinate. The control is nominal + correction, clamped to the actuator
+    bounds.
     """
-    Q = DEFAULT_Q if Q is None else np.asarray(Q, dtype=float)
-    R = DEFAULT_R if R is None else np.asarray(R, dtype=float)
     prob = build_tracking_problem(ref, s, horizon, p, v_ref)
     nx = 4
     Qa = np.zeros((nx + 1, nx + 1))
-    Qa[:nx, :nx] = Q
+    Qa[:nx, :nx] = DEFAULT_Q
     P = Qa.copy()
     corner = np.eye(1, nx + 1, nx)
-    Aa_seq = [np.vstack([np.column_stack([A, d]), corner]) for A, d in zip(prob.A_seq, prob.drift_seq)]
-    Ba_seq = [np.vstack([B, np.zeros((1, 2))]) for B in prob.B_seq]
-    gains: list[np.ndarray] = [np.zeros((2, nx + 1))] * horizon
     for k in reversed(range(horizon)):
-        Aa, Ba = Aa_seq[k], Ba_seq[k]
-        F = R + Ba.T @ P @ Ba
-        K = np.linalg.solve(F, Ba.T @ P @ Aa)
-        gains[k] = K
+        Aa = np.vstack([np.column_stack([prob.A_seq[k], prob.drift_seq[k]]), corner])
+        Ba = np.vstack([prob.B_seq[k], np.zeros((1, 2))])
+        K = np.linalg.solve(DEFAULT_R + Ba.T @ P @ Ba, Ba.T @ P @ Aa)
         P = Qa + Aa.T @ P @ (Aa - Ba @ K)
-    controls: list[RoverControl] = []
-    z = np.concatenate([prob.e0, [1.0]])
-    for k in range(horizon):
-        du = -gains[k] @ z
-        u_nom = prob.nominal_controls[k]
-        controls.append(
-            RoverControl(
-                _clamp(u_nom.accel + du[0], -p.accel_max, p.accel_max),
-                _clamp(u_nom.steer + du[1], -p.steer_max, p.steer_max),
-            )
-        )
-        z = Aa_seq[k] @ z + Ba_seq[k] @ du
-    return controls
+    du = -K @ np.concatenate([prob.e0, [1.0]])
+    u_nom = prob.nominal_controls[0]
+    return RoverControl(
+        _clamp(u_nom.accel + du[0], -p.accel_max, p.accel_max),
+        _clamp(u_nom.steer + du[1], -p.steer_max, p.steer_max),
+    )
 
 
 @dataclass(frozen=True)
@@ -277,7 +259,6 @@ class RoverScenario:
     obstacles: UnsafeSet
     initial_state: RoverState
     goal_tolerance: float
-    reach_horizon: int
     fast_cfg: StatReachConfig
     slow_cfg: StatReachConfig
     weights: RewardWeights
@@ -294,7 +275,7 @@ class RoverScenario:
         for name in ("goal_tolerance", "cruise_speed", "plan_ds"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name}: must be positive, got {getattr(self, name)!r}")
-        for name in ("reach_horizon", "mpc_horizon", "step_cap"):
+        for name in ("mpc_horizon", "step_cap"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)!r}")
         if any(not 0 <= r < AUG_DIM for r in self.perturb_rows):
@@ -312,8 +293,6 @@ class RoverScenario:
             raise ConfigError("initial_state: already within goal_tolerance of the last waypoint; no step to assess")
         if self.slow_cfg.type1_error > self.fast_cfg.type1_error:
             warnings.warn("slow reachability allows a larger type-I error than fast", stacklevel=2)
-        if not self.slow_cfg.cost > self.fast_cfg.cost:
-            warnings.warn("slow reachability is not the expensive one", stacklevel=2)
 
     def reference(self) -> ReferencePath:
         return self._reference
@@ -324,12 +303,11 @@ class RoverScenario:
 
 @dataclass(frozen=True, eq=False)
 class RolloutStep:
-    """One decision point: the state, the first planned control (executed
-    unless the episode stops here), and the uncertain augmented dynamics and
-    (state, control) start point that the reachability routines assess."""
+    """One decision point: the state, the uncertain augmented dynamics, and the
+    start point the reachability routines assess: the state and the tracked
+    control, which executes unless the episode stops here."""
 
     state: RoverState
-    control: RoverControl
     dynamics: IntervalMatrix
     start: np.ndarray
 
@@ -346,9 +324,10 @@ class Rollout:
 
 
 def nominal_rollout(scn: RoverScenario) -> Rollout:
-    """Per step until the goal or the step cap: plan mpc_horizon controls,
-    linearize at the first, build the uncertain augmented dynamics that hold
-    it over reach_horizon steps, and execute it."""
+    """Per step until the goal or the step cap: track the reference over
+    mpc_horizon steps, linearize at the control the tracker returns, build the
+    uncertain augmented dynamics that hold it over the reach horizon, and
+    execute it."""
     ref = scn.reference()
     state = scn.initial_state
     goal = scn.goal()
@@ -356,11 +335,10 @@ def nominal_rollout(scn: RoverScenario) -> Rollout:
     for _ in range(scn.step_cap):
         if math.hypot(state.x - goal[0], state.y - goal[1]) <= scn.goal_tolerance:
             return Rollout(steps, state, True)
-        controls = mpc_track(ref, state, scn.mpc_horizon, scn.params, scn.cruise_speed)
-        u0 = controls[0]
+        u0 = mpc_track(ref, state, scn.mpc_horizon, scn.params, scn.cruise_speed)
         A, B = linearize(state, u0, scn.params)
         lam = build_uncertain_dynamics(A, B, scn.params.yaw_uncertainty, scn.perturb_rows)
-        steps.append(RolloutStep(state, u0, lam, np.concatenate([state.as_vector(), u0.as_vector()])))
+        steps.append(RolloutStep(state, lam, np.concatenate([state.as_vector(), u0.as_vector()])))
         state = bicycle_step(state, u0, scn.params)
     return Rollout(steps, state, False)
 
@@ -417,7 +395,7 @@ def run_navigation(evaluation: NavEvaluation, policy) -> NavigationResult:
 
     The policy decides every evaluated step and the realized loss is the
     verdict of the routine it consulted. A safe verdict lets the first
-    planned control execute; the first unsafe one triggers a full stop at
+    tracked control execute; the first unsafe one triggers a full stop at
     maximum deceleration and flags the episode.
     """
     scn, rollout, stream = evaluation.scenario, evaluation.rollout, evaluation.stream
@@ -464,16 +442,30 @@ def obstacles_from_points(points: np.ndarray, cell_size: float) -> tuple[np.ndar
         raise ValueError("expected an (n, 2) array of points")
     if cell_size <= 0:
         raise ValueError("cell size must be positive")
-    cells = np.unique(np.floor(points / cell_size).astype(int), axis=0)
+    cells = np.floor(points / cell_size)
+    if not np.all(np.abs(cells) < 2.0**63):  # false for nan and inf too
+        raise ValueError("points must be finite, with cell indices inside the int64 range")
+    cells = np.unique(cells.astype(np.int64), axis=0)
     return cells * cell_size, (cells + 1) * cell_size
 
 
 def load_points_csv(path: str | Path) -> np.ndarray:
-    """Read x,y rows, tolerating a single header line."""
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read x,y rows, tolerating a header on the first line and skipping blank
+    lines and # comments. A row that is not two numbers raises a ValueError
+    naming its line of the file."""
+    rows = []
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = line.split("#", 1)[0]
+        try:
+            values = [float(v) for v in line.split(",")]
+        except ValueError as exc:
+            if line_no == 1 or not line.strip():  # the header, or a blank line
+                continue
+            raise ValueError(f"line {line_no}: {exc}") from exc
+        if len(values) != 2:
+            raise ValueError(f"line {line_no}: expected two values x,y, got {len(values)}")
+        rows.append(values)
+    return np.array(rows, dtype=float).reshape(-1, 2)
 
 
 # Scenario JSON fields and their defaults; the values of the required fields
@@ -490,7 +482,7 @@ MAP_DEFAULTS = {
     "fast_reach": {"confidence": 0.0, "type1_error": 0.0},
     "slow_reach": {"confidence": 0.0, "type1_error": 0.0},
     "weights": {"alpha": 0.7, "beta": 0.3},
-    # A negative cost stands for one proportional to the routine's sample count.
+    # A negative cost stands for COST_PER_SAMPLE times the routine's sample count.
     "costs": {"c_fast": -1.0, "c_slow": -1.0},
     "params": asdict(RoverParams()),
     "cruise_speed": RoverScenario.cruise_speed,
@@ -512,12 +504,11 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
     """Build a scenario from its JSON document, merged over MAP_DEFAULTS."""
     d = merge(MAP_DEFAULTS, d, required=("waypoints", "fast_reach", "slow_reach"))
     fast_cfg, slow_cfg = (
-        checked(
-            role, StatReachConfig, d[role], {"horizon": "reach_horizon"},
-            dim=AUG_DIM, horizon=d["reach_horizon"], cost=d["costs"][cost],
-        )
-        for role, cost in (("fast_reach", "c_fast"), ("slow_reach", "c_slow"))
+        checked(role, StatReachConfig, d[role], {"horizon": "reach_horizon"}, dim=AUG_DIM, horizon=d["reach_horizon"])
+        for role in ("fast_reach", "slow_reach")
     )
+    given = zip(d["costs"].values(), (fast_cfg, slow_cfg))
+    costs = CostSchedule(*(c if c >= 0 else cfg.n_samples * COST_PER_SAMPLE for c, cfg in given))
     parts = [(np.empty((0, 2)), np.empty((0, 2)))]  # a free map has no rows
     parts += [
         checked(f"obstacles[{i}]", _obstacle, merge(_OBSTACLE, o, f"obstacles[{i}]", ("lo", "hi")))
@@ -542,11 +533,10 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> RoverScenario:
         fast_cfg=fast_cfg,
         slow_cfg=slow_cfg,
         weights=checked("weights", RewardWeights, d["weights"]),
-        costs=CostSchedule(fast_cfg.cost, slow_cfg.cost),
+        costs=costs,
         params=checked("params", RoverParams, d["params"]),
         perturb_rows=tuple(d["perturb_rows"]),
-        **{k: d[k] for k in ("name", "waypoints", "goal_tolerance", "reach_horizon")},
-        **{k: d[k] for k in ("cruise_speed", "mpc_horizon", "plan_ds", "step_cap")},
+        **{k: d[k] for k in ("name", "waypoints", "goal_tolerance", "cruise_speed", "mpc_horizon", "plan_ds", "step_cap")},
     )
 
 

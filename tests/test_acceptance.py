@@ -84,7 +84,7 @@ def test_criterion_3_bound_validity():
     pair = generate_coreset_pair(rng_for(303, 0), 3, 4, eps)
     xs = np.abs(rng_for(303, 1).standard_normal((10_000, 3)))
     for x in xs:
-        y_fast, y_slow = pair.evaluate(x)
+        y_fast, y_slow = pair.fast_output(x), pair.slow(x)
         assert np.all(y_slow <= y_fast) and np.all(y_fast <= (1 + eps) * y_slow)
         assert loss_l2(y_fast, y_slow) <= loss_bound_lr(y_fast, eps) + 1e-15
 

@@ -121,6 +121,13 @@ def test_map_params_out_of_range_names_the_dotted_field(tmp_path):
         ({"points_csv": "xyz.csv", "cell_size": 0.5}, "points_csv"),
         ({"points_csv": "x.csv", "cell_size": 0.5}, "points_csv"),
         ({"points_csv": "words.csv", "cell_size": 0.5}, "points_csv"),
+        # each named numpy's data-row count, not the file line ("row 1" for line 3 of words.csv)
+        ({"points_csv": "late_words.csv", "cell_size": 0.5}, "points_csv: line 4"),
+        ({"points_csv": "short.csv", "cell_size": 0.5}, "points_csv: line 5"),
+        # each exited 0 with a RuntimeWarning, binning the point to a cell at x = -4.6e18
+        ({"points_csv": "nan.csv", "cell_size": 0.5}, "points_csv"),
+        ({"points_csv": "inf.csv", "cell_size": 0.5}, "points_csv"),
+        ({"points_csv": "huge.csv", "cell_size": 0.5}, "points_csv"),
     ],
 )
 def test_map_values_out_of_range_name_the_field(tmp_path, change, field):
@@ -128,6 +135,11 @@ def test_map_values_out_of_range_name_the_field(tmp_path, change, field):
     (tmp_path / "xyz.csv").write_text("x,y,z\n1.1,1.2,0.3\n")
     (tmp_path / "x.csv").write_text("x\n1.1\n")
     (tmp_path / "words.csv").write_text("x,y\n1.1,1.2\nfoo,1.0\n")
+    (tmp_path / "late_words.csv").write_text("x,y\n1.1,1.2\n1.3,1.4\nfoo,1.0\n")
+    (tmp_path / "short.csv").write_text("x,y\n\n1.1,1.2\n# a comment\n1.3\n")
+    (tmp_path / "nan.csv").write_text("x,y\nnan,1.0\n")
+    (tmp_path / "inf.csv").write_text("x,y\ninf,2\n")
+    (tmp_path / "huge.csv").write_text("x,y\n1e30,0\n")
     map_path = tmp_path / "bad_map.json"
     map_path.write_text(json.dumps(dict(MINI_MAP, **change)))
     rc, err = _cli_with_config(_defaults("rover", rover={"maps": [str(map_path)]}), "rover")

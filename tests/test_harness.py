@@ -211,10 +211,9 @@ def test_calibrate_persists_and_reloads_bit_exact(tmp_path):
 def test_calibrate_rejects_non_rover(tmp_path):
     with pytest.raises(ConfigError):
         calibrate(_tiny_linreg(tmp_path / "x"))
-    cfg = _tiny_rover(tmp_path / "y", _tiny_map(tmp_path))
-    cfg.block["maps"] = []
+    # config_from_dict rejects an empty map list, so calibrate never sees one
     with pytest.raises(ConfigError, match="empty"):
-        calibrate(cfg)
+        config_from_dict({"scenario": "rover", "rover": {"maps": [], "calibration_repeats": 1}})
 
 
 @pytest.mark.parametrize("seed", [36, 47, 59])

@@ -53,7 +53,7 @@ def test_bound_dominates_realized_loss():
     pair = _pair(seed=5)
     xs = _inputs(10_000, 3, seed=6)
     for x in xs:
-        y_fast, y_slow = pair.evaluate(x)
+        y_fast, y_slow = pair.fast_output(x), pair.slow(x)
         assert loss_l2(y_fast, y_slow) <= loss_bound_lr(y_fast, EPS) + 1e-15
 
 
@@ -68,7 +68,7 @@ def test_multiplicative_sandwich_every_coordinate():
     pair = _pair(seed=7)
     xs = _inputs(10_000, 3, seed=8)
     for x in xs:
-        y_fast, y_slow = pair.evaluate(x)
+        y_fast, y_slow = pair.fast_output(x), pair.slow(x)
         assert np.all(y_slow <= y_fast)
         assert np.all(y_fast <= (1.0 + EPS) * y_slow)
 
@@ -77,24 +77,24 @@ def test_unit_box_inputs_stay_in_unit_interval():
     pair = _pair(seed=12)
     xs = np.random.default_rng(13).uniform(0.0, 1.0, size=(2000, 3))
     for x in xs:
-        _, y_slow = pair.evaluate(x)
+        y_slow = pair.slow(x)
         assert np.all(y_slow >= 0.0) and np.all(y_slow <= 1.0 + 1e-12)
 
 
 def test_forced_identity_scales_gives_zero_loss():
     slow = _pair(seed=3).slow
-    pair = CoresetPair.from_slow(slow, EPS, np.ones(slow.b.shape[0]))
+    pair = CoresetPair(slow, EPS, np.ones(slow.b.shape[0]))
     for x in _inputs(100, 3, seed=4):
-        y_fast, y_slow = pair.evaluate(x)
+        y_fast, y_slow = pair.fast_output(x), pair.slow(x)
         assert loss_l2(y_fast, y_slow) == 0.0
 
 
 def test_forced_max_scales_meet_bound_exactly():
     slow = _pair(seed=9).slow
     m = slow.b.shape[0]
-    pair = CoresetPair.from_slow(slow, EPS, np.full(m, 1.0 + EPS))
+    pair = CoresetPair(slow, EPS, np.full(m, 1.0 + EPS))
     for x in _inputs(200, 3, seed=10):
-        y_fast, y_slow = pair.evaluate(x)
+        y_fast, y_slow = pair.fast_output(x), pair.slow(x)
         loss = loss_l2(y_fast, y_slow)
         bound = loss_bound_lr(y_fast, EPS)
         assert loss == pytest.approx(bound, rel=1e-9)
@@ -103,7 +103,7 @@ def test_forced_max_scales_meet_bound_exactly():
 def test_interval_membership():
     pair = _pair(seed=20)
     for x in _inputs(500, 3, seed=21):
-        y_fast, y_slow = pair.evaluate(x)
+        y_fast, y_slow = pair.fast_output(x), pair.slow(x)
         assert np.all(y_slow <= y_fast)
         assert np.all(y_fast / (1.0 + EPS) <= y_slow * (1.0 + 1e-12))
 
@@ -120,10 +120,10 @@ def test_bound_scale_matches_row_by_row_reference(seed):
 
 
 def test_bound_scale_is_zero_for_identity_scales_and_for_no_outputs():
-    pair = CoresetPair.from_slow(_pair().slow, EPS, np.ones(4))
+    pair = CoresetPair(_pair().slow, EPS, np.ones(4))
     assert bound_scale_lr(pair, _inputs(50, 3)) == 0.0
     # generate_coreset_pair rejects zero outputs, so build that pair directly.
-    no_outputs = CoresetPair.from_slow(LinearModel(np.zeros((0, 3)), np.zeros(0)), EPS, np.ones(0))
+    no_outputs = CoresetPair(LinearModel(np.zeros((0, 3)), np.zeros(0)), EPS, np.ones(0))
     assert bound_scale_lr(no_outputs, _inputs(50, 3)) == 0.0
     with pytest.raises(ValueError, match="n_outputs"):
         _pair(m=0)
@@ -139,9 +139,9 @@ def test_select_lr_cases():
 def test_select_lr_matches_oracle_when_bound_tight():
     slow = _pair(seed=30).slow
     m = slow.b.shape[0]
-    pair = CoresetPair.from_slow(slow, EPS, np.full(m, 1.0 + EPS))
+    pair = CoresetPair(slow, EPS, np.full(m, 1.0 + EPS))
     for x in _inputs(500, 3, seed=31):
-        y_fast, y_slow = pair.evaluate(x)
+        y_fast, y_slow = pair.fast_output(x), pair.slow(x)
         oracle = policy_oracle(loss_l2(y_fast, y_slow), 0.0, W, C)
         assert select_lr(y_fast, EPS, W, C) == oracle
 
@@ -150,14 +150,14 @@ def test_select_lr_never_offloads_less_than_oracle():
     pair = _pair(seed=32)
     n_sel = n_oracle = 0
     for x in _inputs(2000, 3, seed=33):
-        y_fast, y_slow = pair.evaluate(x)
+        y_fast, y_slow = pair.fast_output(x), pair.slow(x)
         if select_lr(y_fast, EPS, W, C) == Action.INVOKE_SLOW:
             n_sel += 1
             continue
         # kept the fast model: the oracle must agree (bound >= true loss)
         assert policy_oracle(loss_l2(y_fast, y_slow), 0.0, W, C) == Action.USE_FAST
     for x in _inputs(2000, 3, seed=33):
-        y_fast, y_slow = pair.evaluate(x)
+        y_fast, y_slow = pair.fast_output(x), pair.slow(x)
         if policy_oracle(loss_l2(y_fast, y_slow), 0.0, W, C) == Action.INVOKE_SLOW:
             n_oracle += 1
     assert n_sel >= n_oracle

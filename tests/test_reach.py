@@ -40,7 +40,7 @@ def test_interval_matrix_validation():
 
 def test_sample_matrix_degenerate():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    lam = IntervalMatrix.exact(A)
+    lam = IntervalMatrix(A, A)
     rng = np.random.default_rng(0)
     assert np.array_equal(sample_matrix(lam, rng), A)
 
@@ -124,12 +124,8 @@ def test_required_samples_validation():
             required_samples(0.9, bad, 2, 5)
 
 
-def test_config_derives_samples_and_cost():
-    cfg = StatReachConfig(0.9, 0.05, 2, 5)
-    assert cfg.n_samples == 1196
-    assert cfg.cost == pytest.approx(0.1196)
-    explicit = StatReachConfig(0.9, 0.05, 2, 5, cost=7.0)
-    assert explicit.cost == 7.0
+def test_config_derives_samples():
+    assert StatReachConfig(0.9, 0.05, 2, 5).n_samples == 1196
 
 
 @settings(deadline=None, max_examples=30)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fastslow.policy import (
 )
 from fastslow.reach import StatReachConfig, UnsafeSet, bloat, loss_nav, reach_sampled
 from fastslow.rover import (
+    COST_PER_SAMPLE,
     DEFAULT_Q,
     DEFAULT_R,
     RoverControl,
@@ -164,19 +166,16 @@ def test_uncertain_dynamics_only_yaw_row_widens():
 def test_mpc_on_reference_is_quiet():
     ref = cubic_spline_plan([(0.0, 0.0), (20.0, 0.0)], 0.1)
     s = RoverState(0.0, 0.0, 0.0, 1.0)
-    controls = mpc_track(ref, s, 5, P, v_ref=1.0)
-    for u in controls:
-        assert math.hypot(u.accel, u.steer) <= 1e-6
+    u = mpc_track(ref, s, 5, P, v_ref=1.0)
+    assert math.hypot(u.accel, u.steer) <= 1e-6
 
 
 def test_mpc_steers_toward_reference():
     ref = cubic_spline_plan([(0.0, 0.0), (20.0, 0.0)], 0.1)
     left = RoverState(2.0, 0.5, 0.0, 1.0)
-    controls = mpc_track(ref, left, 5, P, v_ref=1.0)
-    assert controls[0].steer < 0.0
+    assert mpc_track(ref, left, 5, P, v_ref=1.0).steer < 0.0
     right = RoverState(2.0, -0.5, 0.0, 1.0)
-    controls = mpc_track(ref, right, 5, P, v_ref=1.0)
-    assert controls[0].steer > 0.0
+    assert mpc_track(ref, right, 5, P, v_ref=1.0).steer > 0.0
 
     # brute-force the first steer on the quadratic model (a few steps so the
     # steer -> yaw -> position coupling registers) and check the sign agrees
@@ -190,25 +189,39 @@ def test_mpc_steers_toward_reference():
     assert best < 0.0
 
 
-def test_mpc_beats_zero_controls_on_linear_model():
+def _quadratic_from_values(f, n):
+    """(H, g, c) with f(z) = z H z + g z + c, read off the values of a
+    quadratic f at 0, at +-e_i and at e_i + e_j."""
+    eye = np.eye(n)
+    c = f(np.zeros(n))
+    plus = np.array([f(e) for e in eye])
+    minus = np.array([f(-e) for e in eye])
+    H = np.diag((plus + minus) / 2.0 - c)
+    for i in range(n):
+        for j in range(i + 1, n):
+            H[i, j] = H[j, i] = (f(eye[i] + eye[j]) - plus[i] - plus[j] + c) / 2.0
+    return H, (plus - minus) / 2.0, c
+
+
+def test_mpc_control_is_the_first_step_of_the_exact_lq_optimum():
     ref = cubic_spline_plan([(0.0, 0.0), (8.0, 0.0), (14.0, 4.0), (20.0, 4.0)], 0.1)
     rng = np.random.default_rng(1)
+    checked = 0
     for _ in range(20):
-        s = RoverState(
-            float(rng.uniform(0, 12)),
-            float(rng.uniform(-0.5, 2.5)),
-            float(rng.uniform(-0.5, 0.8)),
-            float(rng.uniform(0.5, 1.5)),
-        )
+        # near the reference, where the tracker's controls stay inside the actuator bounds
+        x, y, yaw, _ = ref.state_at(float(rng.uniform(0.0, 20.0)))
+        dx, dy, dyaw = rng.uniform(-0.2, 0.2, size=3)
+        s = RoverState(x + dx, y + dy, yaw + dyaw, float(rng.uniform(0.8, 1.2)))
         prob = build_tracking_problem(ref, s, 5, P, 1.0)
-        controls = mpc_track(ref, s, 5, P, v_ref=1.0)
-        deltas = [u.as_vector() - nom.as_vector() for u, nom in zip(controls, prob.nominal_controls)]
-        if any(abs(u.steer) >= P.steer_max or abs(u.accel) >= P.accel_max for u in controls):
-            continue  # clamped solutions are not the unconstrained optimum
-        zero = [np.zeros(2)] * 5
-        assert tracking_cost(prob, deltas, DEFAULT_Q, DEFAULT_R) <= tracking_cost(
-            prob, zero, DEFAULT_Q, DEFAULT_R
-        ) + 1e-9
+        u = mpc_track(ref, s, 5, P, v_ref=1.0)
+        if abs(u.steer) >= P.steer_max or abs(u.accel) >= P.accel_max:
+            continue  # a clamped control is not the unconstrained optimum
+        # tracking_cost is quadratic in the 10 stacked corrections; its minimizer solves 2 H z = -g
+        H, g, _ = _quadratic_from_values(lambda z: tracking_cost(prob, list(z.reshape(5, 2)), DEFAULT_Q, DEFAULT_R), 10)
+        optimum = np.linalg.solve(2.0 * H, -g)
+        assert np.allclose(u.as_vector() - prob.nominal_controls[0].as_vector(), optimum[:2], rtol=0.0, atol=1e-6)
+        checked += 1
+    assert checked >= 10
 
 
 def test_mpc_validation():
@@ -226,7 +239,6 @@ def _tiny_scenario(obstacles=(), step_cap=400, waypoints=((0.0, 0.0), (10.0, 0.0
         obstacles=UnsafeSet(bounds[:, 0], bounds[:, 1], (0, 1)),
         initial_state=RoverState(0.0, 0.0, 0.0, 0.0),
         goal_tolerance=0.6,
-        reach_horizon=3,
         fast_cfg=StatReachConfig(0.6, 0.3, 6, 3),
         slow_cfg=StatReachConfig(0.85, 0.1, 6, 3),
         weights=RewardWeights(0.7, 0.3),
@@ -310,8 +322,7 @@ def _reference_navigation(scn, kind, seed, bloat_mu):
         if math.hypot(state.x - goal[0], state.y - goal[1]) <= scn.goal_tolerance:
             reached = True
             break
-        controls = mpc_track(ref, state, scn.mpc_horizon, scn.params, scn.cruise_speed)
-        u0 = controls[0]
+        u0 = mpc_track(ref, state, scn.mpc_horizon, scn.params, scn.cruise_speed)
         A, B = linearize(state, u0, scn.params)
         lam = build_uncertain_dynamics(A, B, scn.params.yaw_uncertainty, scn.perturb_rows)
         z0 = np.concatenate([state.as_vector(), u0.as_vector()])
@@ -364,7 +375,7 @@ def test_shared_rollout_reproduces_the_per_step_loop(case, seed, bloat_mu):
         states, records, reach, reached, flagged = _reference_navigation(scn, kind, seed, bloat_mu)
         for got, want in zip(nav.records.columns(), EpisodeLog.from_records(records).columns()):
             assert list(map(repr, got.tolist())) == list(map(repr, want.tolist())), kind
-        assert nav.summary == summarize(records), kind
+        assert nav.summary == summarize(EpisodeLog.from_records(records)), kind
         assert list(map(repr, nav.states)) == list(map(repr, states)), kind
         assert (nav.reached_goal, nav.flagged_unsafe, nav.hit_step_cap) == (reached, flagged, not (reached or flagged))
         for t, (fast, slow) in enumerate(reach):
@@ -401,6 +412,40 @@ def test_scenario_from_points_csv(tmp_path):
     # nearby points share one 0.5 m cell, the far point gets its own
     assert np.array_equal(scn.obstacles.lo, [[4.0, -1.0], [1.0, 1.0], [8.0, 8.0]])
     assert np.array_equal(scn.obstacles.hi, [[5.0, 1.0], [1.5, 1.5], [8.5, 8.5]])
+
+
+def _cost_map(**changes):
+    return dict(
+        name="costs",
+        waypoints=[[0.0, 0.0], [10.0, 0.0]],
+        fast_reach={"confidence": 0.75, "type1_error": 0.15},
+        slow_reach={"confidence": 0.9, "type1_error": 0.05},
+        **changes,
+    )
+
+
+def test_costs_default_to_the_sample_counts():
+    for name in ("obstacle_free", "obstacle_adjacent"):
+        scn = load_scenario(builtin_map_path(name))
+        assert (scn.fast_cfg.n_samples, scn.slow_cfg.n_samples) == (1435, 4251)
+        assert scn.costs == CostSchedule(1435 * COST_PER_SAMPLE, 4251 * COST_PER_SAMPLE)
+        assert (scn.costs.c_fast, scn.costs.c_slow) == pytest.approx((0.1435, 0.4251), rel=1e-12)
+    # one cost given, the other left to its sample count
+    scn = scenario_from_dict(_cost_map(costs={"c_slow": 0.5}))
+    assert scn.costs == CostSchedule(1435 * COST_PER_SAMPLE, 0.5)
+
+
+def test_explicit_costs_are_used_as_given():
+    assert scenario_from_dict(_cost_map(costs={"c_fast": 0.02, "c_slow": 0.3})).costs == CostSchedule(0.02, 0.3)
+    assert scenario_from_dict(_cost_map(costs={"c_fast": 0.0, "c_slow": 0.3})).costs == CostSchedule(0.0, 0.3)
+
+
+def test_cheap_slow_routine_warns_once():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scenario_from_dict(_cost_map(costs={"c_fast": 0.3, "c_slow": 0.3}))
+    assert [type(w.message) for w in caught] == [UserWarning]
+    assert "c_slow <= c_fast" in str(caught[0].message)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

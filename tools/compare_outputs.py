@@ -6,7 +6,7 @@ the bench size (2, 2 and 1 trials) and at the default size, one process at a
 time, and prints one `cmp` verdict per output file. Exits 1 if any file
 differs or is missing on one side.
 
-    python tools/compare_outputs.py OTHER_CHECKOUT [--work DIR] [--sizes bench default]
+    python tools/compare_outputs.py OTHER_CHECKOUT [--work DIR]
 """
 from __future__ import annotations
 
@@ -49,14 +49,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="the other checkout (a directory holding src/fastslow)")
     parser.add_argument("--work", type=Path, help="directory for the outputs (default: a temporary one, removed)")
-    parser.add_argument("--sizes", nargs="+", choices=tuple(SIZES), default=list(SIZES))
     args = parser.parse_args(argv)
     if not (args.other / "src" / "fastslow").is_dir():
         parser.error(f"{args.other} holds no src/fastslow")
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         n_files = n_same = 0
-        for size in args.sizes:
+        for size in SIZES:
             for suite in SUITES:
                 dirs = []
                 for side, tree in (("this", ROOT), ("other", args.other.resolve())):

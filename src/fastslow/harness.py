@@ -10,6 +10,8 @@ import hashlib
 import io
 import itertools
 import json
+import math
+import statistics
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import charts
 from .dnnproxy import ProbabilisticBound, expected_loss_bound_dnn, make_proxy_pair
-from .linreg import InputDistribution, bound_scale_lr, generate_coreset_pair, loss_bound_lr, loss_l2
+from .linreg import InputDistribution, generate_coreset_pair, loss_bound_lr, loss_l2
 from .policy import (
     Action,
     BoundThresholdPolicy,
@@ -31,6 +33,7 @@ from .policy import (
     RandomPolicy,
     RewardWeights,
     SlowOnlyPolicy,
+    bound_scale,
     evaluate_stream,
     run_episode,
 )
@@ -254,6 +257,8 @@ class ComparisonReport:
 
 
 def aggregate_rows(per_trial: list[dict]) -> dict:
+    """Per policy and metric, the mean over trials, exact and rounded once, and
+    the population std about it; the std of a set with infinities is JSON null."""
     out: dict = {}
     for policy in POLICY_ORDER:
         rows = [r for r in per_trial if r["policy"] == policy]
@@ -261,11 +266,10 @@ def aggregate_rows(per_trial: list[dict]) -> dict:
             continue
         out[policy] = {}
         for metric in METRICS:
-            vals = np.array([float(r[metric]) for r in rows])
-            mean = float(np.mean(vals))
-            # std of a set containing infinities is undefined; JSON null
-            std = float(np.std(vals)) if np.all(np.isfinite(vals)) else None
-            out[policy][metric] = {"mean": mean, "std": std}
+            vals = [float(r[metric]) for r in rows]
+            mean = statistics.mean(vals)  # identical values give themselves and std 0
+            sq_dev = math.fsum((v - mean) * (v - mean) for v in vals)
+            out[policy][metric] = {"mean": mean, "std": math.sqrt(sq_dev / len(vals)) if math.isfinite(mean) else None}
     return out
 
 
@@ -297,8 +301,8 @@ def _summary_row(map_name: str, trial: int, policy: str, summary) -> dict:
 
 
 def _prediction_trial(scenario: str, block: dict, trial_seed: int, n_steps: int):
-    """One trial's model pair and inputs, evaluated once, and the selector's
-    bound function."""
+    """One trial's model pair and inputs, evaluated once with the selector's
+    bound; linreg scales its bound by bound_scale of held-out inputs."""
     if scenario == "linreg":
         eps, n, scale = block["epsilon"], block["n_inputs"], block["input_scale"]
         pair = generate_coreset_pair(
@@ -306,31 +310,30 @@ def _prediction_trial(scenario: str, block: dict, trial_seed: int, n_steps: int)
         )
         inputs = InputDistribution(n, scale, seed=derive_seed(trial_seed, INPUT_TAG)).draw(n_steps)
         calib = InputDistribution(n, scale, seed=derive_seed(trial_seed, LR_CALIB_TAG)).draw(LR_CALIBRATION_INPUTS)
-        k = bound_scale_lr(pair, calib)
-        return evaluate_stream(inputs, pair.fast_output, pair.slow, loss_l2), lambda y: k * loss_bound_lr(y, eps)
+        k = bound_scale(evaluate_stream(calib, pair.fast_output, pair.slow, loss_l2, partial(loss_bound_lr, epsilon=eps)))
+        return evaluate_stream(inputs, pair.fast_output, pair.slow, loss_l2, lambda y: k * loss_bound_lr(y, eps))
     bound = ProbabilisticBound(block["epsilon"], block["delta"], block["m_loss_cap"])
     pair = make_proxy_pair(
         rng_for(trial_seed, PAIR_TAG), block["n_inputs"], block["n_outputs"], bound,
         n_features=block["n_features"], out_center=block["out_center"], out_spread=block["out_spread"],
     )
     inputs = rng_for(trial_seed, INPUT_TAG).normal(0.0, block["input_scale"], size=(n_steps, block["n_inputs"]))
-    stream = evaluate_stream(inputs, partial(pair.fast_output, index=0), pair.slow_output, loss_l2)
-    return stream, lambda y: expected_loss_bound_dnn(y, bound)
+    fast = partial(pair.fast_output, index=0)
+    return evaluate_stream(inputs, fast, pair.slow_output, loss_l2, partial(expected_loss_bound_dnn, bound=bound))
 
 
-def _policies(trial_seed: int, bound_fn) -> tuple:
-    """The five policies of one trial, in POLICY_ORDER; the selector compares
-    `bound_fn` of the fast outputs against the threshold."""
+def _policies(trial_seed: int) -> tuple:
+    """The five policies of one trial, in POLICY_ORDER."""
     return (
         FastOnlyPolicy(), SlowOnlyPolicy(), RandomPolicy(derive_seed(trial_seed, RANDOM_TAG)),
-        BoundThresholdPolicy(bound_fn), OraclePolicy(),
+        BoundThresholdPolicy(), OraclePolicy(),
     )
 
 
 def _run_prediction_suite(cfg: ExperimentConfig, steps_file, curves: RewardCurves, per_trial: list[dict]) -> None:
     for trial, trial_seed in enumerate(cfg.seeds):
-        stream, bound_fn = _prediction_trial(cfg.scenario, cfg.block, trial_seed, cfg.n_steps)
-        for policy in _policies(trial_seed, bound_fn):
+        stream = _prediction_trial(cfg.scenario, cfg.block, trial_seed, cfg.n_steps)
+        for policy in _policies(trial_seed):
             log, summary = run_episode(stream, policy, cfg.weights, cfg.costs)
             _write_steps(steps_file, "-", trial, policy.name, log)
             curves.add(policy.name, log.reward)
@@ -384,7 +387,7 @@ def _run_rover_suite(
             calibrations.append(artifact)
             for trial, trial_seed in enumerate(cfg.seeds):
                 evaluation = evaluate_navigation(scn, rollout, trial_seed, artifact["mu"])
-                for policy in _policies(trial_seed, lambda verdict: verdict):
+                for policy in _policies(trial_seed):
                     nav = run_navigation(evaluation, policy)
                     _write_steps(steps_file, scn.name, trial, policy.name, nav.records)
                     curves.add(policy.name, nav.records.reward)

@@ -4,7 +4,6 @@ bound, and the matching selection rule.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,8 @@ class CoresetPair:
     def __post_init__(self) -> None:
         s = np.asarray(self.per_coord_scales, dtype=float)
         object.__setattr__(self, "per_coord_scales", s)
+        if s.shape != self.slow.b.shape:
+            raise ValueError(f"per_coord_scales: need one scale per slow output, shape {self.slow.b.shape}, got {s.shape}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if np.any(s < 1.0) or np.any(s > 1.0 + self.epsilon):
@@ -122,14 +123,3 @@ def loss_bound_lr(y_fast: np.ndarray, epsilon: float) -> float | np.ndarray:
 def select_lr(y_fast: np.ndarray, epsilon: float, weights: RewardWeights, costs: CostSchedule) -> Action:
     """Offload iff the closed-form bound exceeds the decision threshold."""
     return select_generic(loss_bound_lr(y_fast, epsilon), decision_threshold(weights, costs))
-
-
-def bound_scale_lr(pair: CoresetPair, inputs: np.ndarray) -> float:
-    """Realized loss over loss_bound_lr, each summed over a batch of inputs
-    evaluated at once. The ratio lies in [0, 1]; times the bound, a worst case
-    over scales up to 1 + epsilon, it estimates this pair's expected loss."""
-    y_slow = inputs @ pair.slow.A.T + pair.slow.b
-    y_fast = pair.per_coord_scales * y_slow
-    loss = np.sum((y_fast - y_slow) ** 2, axis=1)
-    bound = math.fsum(pair.epsilon**2 * np.sum(y_fast * y_fast, axis=1) / (1.0 + pair.epsilon) ** 2)
-    return math.fsum(loss) / bound if bound > 0 else 0.0  # zero only for a pair with no outputs

@@ -12,13 +12,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
-
-# Maps fast and slow outputs to the loss of keeping the fast one; the episode
-# runner passes (T, m) batches and expects (T,) losses.
-LossFn = Callable[[Any, Any], Any]
 
 
 class Action(IntEnum):
@@ -171,12 +167,12 @@ def policy_oracle(loss_fast: float, loss_slow: float, weights: RewardWeights, co
 
 @dataclass(frozen=True, eq=False)
 class EvaluatedStream:
-    """An input stream scored once: the fast output of every input, the loss
-    of keeping it and the loss of offloading it. In the prediction suites the
-    slow output is the ground truth, so offloading loses 0; the rover's fast
-    output is the verdict of its bloated fast reach sets."""
+    """An input stream scored once: per input the selector's bound, computed
+    from the fast output alone, and the losses of keeping the fast output and
+    of offloading. In the prediction suites offloading loses 0 (the slow output
+    is the ground truth); the rover's bound is its bloated fast sets' verdict."""
 
-    y_fast: np.ndarray  # (T, m), or the rover's (T,) verdicts
+    bound: np.ndarray  # (T,)
     loss_fast: np.ndarray  # (T,)
     loss_slow: np.ndarray  # (T,)
 
@@ -184,10 +180,13 @@ class EvaluatedStream:
         return len(self.loss_fast)
 
 
-def evaluate_stream(inputs, fast_model: Callable, slow_model: Callable, loss_fn: LossFn) -> EvaluatedStream:
-    """Call each model once on the (T, n) input array and score the fast
-    outputs against the slow ones. The models and the loss map a batch row by
-    row: (T, n) -> (T, m) and two (T, m) -> (T,)."""
+def evaluate_stream(
+    inputs, fast_model: Callable, slow_model: Callable, loss_fn: Callable, bound_fn: Callable
+) -> EvaluatedStream:
+    """Call each model once on the (T, n) input array, score the fast outputs
+    against the slow ones and bound their loss from the fast outputs alone.
+    The models, the loss and the bound map a batch row by row: (T, n) ->
+    (T, m), two (T, m) -> (T,) and (T, m) -> (T,)."""
     inputs = np.asarray(inputs, dtype=float)
     outputs = []
     for which, model in (("fast", fast_model), ("slow", slow_model)):
@@ -196,7 +195,13 @@ def evaluate_stream(inputs, fast_model: Callable, slow_model: Callable, loss_fn:
         except Exception as exc:
             raise EpisodeError(which) from exc
     loss = np.asarray(loss_fn(*outputs), dtype=float)
-    return EvaluatedStream(outputs[0], loss, np.zeros_like(loss))
+    return EvaluatedStream(np.asarray(bound_fn(outputs[0]), dtype=float), loss, np.zeros_like(loss))
+
+
+def bound_scale(stream: EvaluatedStream) -> float:
+    """fsum(loss_fast) / fsum(bound), 0 if the bound sums to 0: it scales the bound to an expected loss."""
+    bound = math.fsum(stream.bound.tolist())
+    return math.fsum(stream.loss_fast.tolist()) / bound if bound > 0 else 0.0
 
 
 # Each policy decides a whole stream at once: decide(stream, weights, costs)
@@ -246,18 +251,13 @@ class OraclePolicy:
 
 
 class BoundThresholdPolicy:
-    """The realizable selector: compares a scenario-supplied expected-loss
-    bound, a function of the fast outputs only, (T, m) -> (T,), against the
-    threshold."""
+    """The realizable selector: offloads where the stream's bound, computed
+    from the fast output alone, exceeds the threshold."""
 
     name = "our_selector"
 
-    def __init__(self, bound_fn: Callable[[np.ndarray], np.ndarray]):
-        self.bound_fn = bound_fn
-
     def decide(self, stream: EvaluatedStream, weights: RewardWeights, costs: CostSchedule):
-        bound = np.asarray(self.bound_fn(stream.y_fast), dtype=float)
-        return (decision_threshold(weights, costs) < bound).astype(int), bound
+        return (decision_threshold(weights, costs) < stream.bound).astype(int), stream.bound
 
 
 def summarize(log: EpisodeLog) -> EpisodeSummary:

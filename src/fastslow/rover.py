@@ -36,7 +36,7 @@ from .reach import (
     reach_sampled,
 )
 from .schema import ConfigError, checked, merge
-from .seeding import ROVER_CALIB_TAG, role_rng, rng_for
+from .seeding import FAST_TAG, ROVER_CALIB_TAG, SLOW_TAG, rng_for
 from .spline import ReferencePath, cubic_spline_plan
 
 AUG_DIM = 6  # (x, y, yaw, v) plus the two planned controls
@@ -347,7 +347,7 @@ def nominal_rollout(scn: RoverScenario) -> Rollout:
 class NavEvaluation:
     """One trial's reachability along a rollout: per step the fast and the
     slow result, and as a stream the verdicts (0 safe, inf unsafe) of the
-    bloated fast sets and of the slow sets."""
+    bloated fast sets, which are also the selector's bound, and of the slow sets."""
 
     scenario: RoverScenario
     rollout: Rollout
@@ -358,12 +358,12 @@ class NavEvaluation:
 
 def evaluate_navigation(scn: RoverScenario, rollout: Rollout, seed: int, bloat_mu: float = 0.0) -> NavEvaluation:
     """Run both reachability routines at every rollout step, with randomness
-    keyed by (seed, step, role), up to the first step that both verdicts call
-    unsafe: every policy has stopped by then."""
+    keyed by (seed, step, FAST_TAG or SLOW_TAG), up to the first step that
+    both verdicts call unsafe: every policy has stopped by then."""
     fast, slow, loss_fast, loss_slow = [], [], [], []
     for t, step in enumerate(rollout.steps):
-        fast.append(reach_sampled(step.dynamics, step.start, scn.fast_cfg, role_rng(seed, t, "fast")))
-        slow.append(reach_sampled(step.dynamics, step.start, scn.slow_cfg, role_rng(seed, t, "slow")))
+        fast.append(reach_sampled(step.dynamics, step.start, scn.fast_cfg, rng_for(seed, t, FAST_TAG)))
+        slow.append(reach_sampled(step.dynamics, step.start, scn.slow_cfg, rng_for(seed, t, SLOW_TAG)))
         loss_fast.append(loss_nav(bloat(fast[-1], bloat_mu), scn.obstacles))
         loss_slow.append(loss_nav(slow[-1], scn.obstacles))
         if loss_fast[-1] == loss_slow[-1] == math.inf:

@@ -7,8 +7,9 @@ import numpy as np
 # so none may change or be reused for another stream.
 PAIR_TAG, INPUT_TAG, RANDOM_TAG, CALIB_SEED_TAG, LR_CALIB_TAG = 11, 12, 13, 14, 15
 ROVER_CALIB_TAG = 7001
-# Role 2 keyed the rover's old per-step policy coin; it stays reserved.
-_ROLE_TAGS = {"fast": 3, "slow": 4}
+# The rover's per-step fast and slow reach draws, keyed (seed, step, tag).
+# Value 2 keyed its old per-step policy coin; it stays reserved.
+FAST_TAG, SLOW_TAG = 3, 4
 
 
 def derive_seed(root: int, *path: int) -> int:
@@ -26,8 +27,3 @@ def rng_for(root: int, *path: int) -> np.random.Generator:
     """A fresh generator keyed by (root, path)."""
     return np.random.default_rng(np.random.SeedSequence([int(root), *[int(p) for p in path]]))
 
-
-def role_rng(root: int, step: int, role: str) -> np.random.Generator:
-    """Per-step generator keyed by role name, so consuming one stream never
-    shifts another (policies stay comparable across runs)."""
-    return rng_for(root, step, _ROLE_TAGS[role])

@@ -132,7 +132,7 @@ def _dnn_case(rng, T):
         assert _same(expected_loss_bound_dnn(y, bound), value)
         return value
 
-    batch = (xs, partial(pair.fast_output, index=0), pair.slow_output, lambda y: expected_loss_bound_dnn(y, bound))
+    batch = (xs, partial(pair.fast_output, index=0), pair.slow_output, partial(expected_loss_bound_dnn, bound=bound))
     return batch, (fast_one, slow_one, bound_one)
 
 
@@ -155,12 +155,12 @@ def test_batch_episode_equals_per_step_reference(scenario, case_seed, T, alpha, 
     rng = np.random.default_rng(case_seed)
     (xs, fast, slow, bound_fn), (fast_one, slow_one, bound_one) = (_linreg_case if scenario == "linreg" else _dnn_case)(rng, T)
     weights, costs = RewardWeights(alpha, beta), CostSchedule(c_fast, c_fast + c_extra)
-    stream = evaluate_stream(xs, fast, slow, loss_l2)
+    stream = evaluate_stream(xs, fast, slow, loss_l2, bound_fn)
     policies = {
         "fast": FastOnlyPolicy(),
         "slow": SlowOnlyPolicy(),
         "random": RandomPolicy(random_seed),
-        "our_selector": BoundThresholdPolicy(bound_fn),
+        "our_selector": BoundThresholdPolicy(),
         "oracle": OraclePolicy(),
     }
     for kind, policy in policies.items():

@@ -1,8 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastslow.charts import line_chart_svg, scatter_chart_svg
 from fastslow.cli import main
@@ -11,6 +14,7 @@ from fastslow.harness import (
     ComparisonReport,
     ConfigError,
     DEFAULTS,
+    METRICS,
     POLICY_ORDER,
     aggregate_rows,
     builtin_map_path,
@@ -378,3 +382,15 @@ def test_aggregate_rows_over_policies():
     assert agg["slow"]["cumulative_reward"] == {"mean": -math.inf, "std": None}
     assert agg["slow"]["total_cost"] == {"mean": 2.0, "std": 0.0}
     assert "NaN" not in json.dumps(agg)
+
+
+@settings(deadline=None, max_examples=200)
+@given(values=st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=20), value=st.floats(-1e300, 1e300))
+def test_aggregates_are_exact(values, value):
+    # Ten identical trials aggregate to their value with std 0.0; a float sum
+    # over ten, even an fsum, misses the value for about one double in eight.
+    same = aggregate_rows([dict.fromkeys(METRICS, value) | {"policy": "slow"}] * 10)["slow"]
+    assert all(same[metric] == {"mean": value, "std": 0.0} for metric in METRICS)
+    # The mean of any finite set is the exact one, rounded once.
+    agg = aggregate_rows([{"policy": "fast", **dict.fromkeys(METRICS, v)} for v in values])["fast"]["mean_loss"]
+    assert agg["mean"] == float(sum(map(Fraction, values)) / len(values))

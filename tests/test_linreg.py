@@ -1,11 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from fastslow.linreg import (
     CoresetPair,
-    bound_scale_lr,
     InputDistribution,
     LinearModel,
     generate_coreset_pair,
@@ -13,7 +13,7 @@ from fastslow.linreg import (
     loss_l2,
     select_lr,
 )
-from fastslow.policy import Action, CostSchedule, RewardWeights, policy_oracle
+from fastslow.policy import Action, CostSchedule, RewardWeights, bound_scale, evaluate_stream, policy_oracle
 
 W = RewardWeights(1.0, 0.003)
 C = CostSchedule(1.0, 2.5)
@@ -108,25 +108,38 @@ def test_interval_membership():
         assert np.all(y_fast / (1.0 + EPS) <= y_slow * (1.0 + 1e-12))
 
 
-@pytest.mark.parametrize("seed", range(5))
+def _calibration(pair, xs):
+    """The pair evaluated on xs with its unscaled bound, as the linreg suite calibrates."""
+    return evaluate_stream(xs, pair.fast_output, pair.slow, loss_l2, partial(loss_bound_lr, epsilon=pair.epsilon))
+
+
+@pytest.mark.parametrize("seed", range(200))
 def test_bound_scale_matches_row_by_row_reference(seed):
     pair = _pair(seed)
     xs = _inputs(300, 3, seed=seed + 10)
     loss = math.fsum(loss_l2(pair.fast_output(x), pair.slow(x)) for x in xs)
     bound = math.fsum(loss_bound_lr(pair.fast_output(x), EPS) for x in xs)
-    k = bound_scale_lr(pair, xs)
+    k = bound_scale(_calibration(pair, xs))
     assert 0.0 <= k <= 1.0
-    assert k == pytest.approx(loss / bound, rel=1e-12)
+    assert k == loss / bound
 
 
 def test_bound_scale_is_zero_for_identity_scales_and_for_no_outputs():
     pair = CoresetPair(_pair().slow, EPS, np.ones(4))
-    assert bound_scale_lr(pair, _inputs(50, 3)) == 0.0
+    assert bound_scale(_calibration(pair, _inputs(50, 3))) == 0.0
     # generate_coreset_pair rejects zero outputs, so build that pair directly.
     no_outputs = CoresetPair(LinearModel(np.zeros((0, 3)), np.zeros(0)), EPS, np.ones(0))
-    assert bound_scale_lr(no_outputs, _inputs(50, 3)) == 0.0
+    assert bound_scale(_calibration(no_outputs, _inputs(50, 3))) == 0.0
     with pytest.raises(ValueError, match="n_outputs"):
         _pair(m=0)
+
+
+def test_coreset_pair_needs_one_scale_per_output():
+    slow = LinearModel(np.ones((4, 3)), np.zeros(4))
+    for scales in (np.ones(1), np.ones(5), np.ones((4, 1))):
+        with pytest.raises(ValueError, match="^per_coord_scales"):
+            CoresetPair(slow, 0.1, scales)
+    assert np.array_equal(CoresetPair(slow, 0.1, np.ones(4)).fast_output(np.ones(3)), np.full(4, 3.0))
 
 
 def test_select_lr_cases():

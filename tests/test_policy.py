@@ -151,8 +151,22 @@ def _l2(a, b):
     return np.vecdot(d, d)
 
 
+def _bound(y):
+    return 0.05 * np.vecdot(y, y)
+
+
 def _episode(xs, policy, fast=_fast, slow=_slow, loss=_l2):
-    return run_episode(evaluate_stream(xs, fast, slow, loss), policy, W, C)
+    return run_episode(evaluate_stream(xs, fast, slow, loss, _bound), policy, W, C)
+
+
+def test_stream_carries_the_bound_of_the_fast_outputs_and_the_selector_reads_it():
+    xs = 0.5 * _stream(40, seed=5)
+    stream = evaluate_stream(xs, _fast, _slow, _l2, _bound)
+    assert np.array_equal(stream.bound, _bound(_fast(xs)))
+    action, logged = BoundThresholdPolicy().decide(stream, W, C)
+    assert logged is stream.bound
+    assert np.array_equal(action, (decision_threshold(W, C) < stream.bound).astype(int))
+    assert 0 < action.sum() < len(xs)
 
 
 def test_run_episode_empty_stream():
@@ -184,7 +198,7 @@ def test_oracle_dominates_every_policy_per_step():
         FastOnlyPolicy(),
         SlowOnlyPolicy(),
         RandomPolicy(99),
-        BoundThresholdPolicy(lambda y: 0.05 * np.vecdot(y, y)),
+        BoundThresholdPolicy(),
         OraclePolicy(),
     ]
     logs = [_episode(xs, p)[0] for p in policies]
@@ -218,7 +232,7 @@ def test_episode_error_carries_step_index():
 
     for which, models in (("fast", (broken, _slow)), ("slow", (_fast, broken))):
         with pytest.raises(EpisodeError) as exc_info:
-            evaluate_stream(_stream(10), *models, _l2)
+            evaluate_stream(_stream(10), *models, _l2, _bound)
         assert exc_info.value.which == which
         assert isinstance(exc_info.value.__cause__, RuntimeError)
 

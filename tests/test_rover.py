@@ -44,7 +44,7 @@ from fastslow.rover import (
     tracking_cost,
     wrap_angle,
 )
-from fastslow.seeding import role_rng
+from fastslow.seeding import FAST_TAG, SLOW_TAG, rng_for
 from fastslow.spline import cubic_spline_plan
 
 P = RoverParams(wheelbase=1.0, dt=0.1, v_max=2.0, steer_max=1.0, accel_max=1.0)
@@ -251,7 +251,7 @@ def _tiny_scenario(obstacles=(), step_cap=400, waypoints=((0.0, 0.0), (10.0, 0.0
 POLICIES = {
     "fast": FastOnlyPolicy,
     "slow": SlowOnlyPolicy,
-    "our_selector": lambda: BoundThresholdPolicy(lambda verdict: verdict),
+    "our_selector": BoundThresholdPolicy,
     "oracle": OraclePolicy,
 }
 BLOCKING = ([4.0, -1.0], [6.0, 1.0])
@@ -326,13 +326,13 @@ def _reference_navigation(scn, kind, seed, bloat_mu):
         A, B = linearize(state, u0, scn.params)
         lam = build_uncertain_dynamics(A, B, scn.params.yaw_uncertainty, scn.perturb_rows)
         z0 = np.concatenate([state.as_vector(), u0.as_vector()])
-        fast = reach_sampled(lam, z0, scn.fast_cfg, role_rng(seed, t, "fast"))
+        fast = reach_sampled(lam, z0, scn.fast_cfg, rng_for(seed, t, FAST_TAG))
         fast_bloated = bloat(fast, bloat_mu)
         slow = []
 
         def slow_sets():
             if not slow:
-                slow.append(reach_sampled(lam, z0, scn.slow_cfg, role_rng(seed, t, "slow")))
+                slow.append(reach_sampled(lam, z0, scn.slow_cfg, rng_for(seed, t, SLOW_TAG)))
             return slow[0]
 
         action, gain = _reference_decide(kind, fast_bloated, slow_sets, scn.obstacles, scn.weights, scn.costs)

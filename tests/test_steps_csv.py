@@ -186,7 +186,7 @@ def test_rover_writers_match_csv_writer():
     scn = scenario_from_dict(_map_doc("blocked", [{"lo": [3.0, -0.25], "hi": [3.5, 0.25]}]))
     evaluation = evaluate_navigation(scn, nominal_rollout(scn), 7, 0.05)
     braked = slow_boxes = 0
-    for policy in _policies(7, lambda verdict: verdict):
+    for policy in _policies(7):
         nav = run_navigation(evaluation, policy)
         braked += nav.flagged_unsafe and len(nav.states) > len(nav.records) + 1
         slow_boxes += int(np.sum(nav.records.action == Action.INVOKE_SLOW))

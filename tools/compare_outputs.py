@@ -3,8 +3,9 @@ for byte.
 
 Runs the linreg, dnn and rover suites at seed 1337 from each tree's src/, at
 the bench size (2, 2 and 1 trials) and at the default size, one process at a
-time, and prints one `cmp` verdict per output file. Exits 1 if any file
-differs or is missing on one side.
+time, and prints one `cmp` verdict per output file: for a file that differs,
+the first differing line and the number of differing lines, or the two line
+counts if they differ. Exits 1 if any file differs or is missing on one side.
 
     python tools/compare_outputs.py OTHER_CHECKOUT [--work DIR]
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import itertools
 import os
 import subprocess
 import sys
@@ -33,6 +35,21 @@ def run_suite(tree: Path, suite: str, trials: int | None, out: Path) -> None:
     subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
 
 
+def where_differs(a: Path, b: Path) -> str:
+    """The first differing line of two files and the number of differing
+    lines (1-based, split at newlines), or their line counts if those differ."""
+    first = n_diff = n_a = n_b = 0
+    with a.open("rb") as fa, b.open("rb") as fb:
+        for i, (x, y) in enumerate(itertools.zip_longest(fa, fb), 1):
+            n_a, n_b = n_a + (x is not None), n_b + (y is not None)
+            if x != y:
+                n_diff += 1
+                first = first or i
+    if n_a != n_b:
+        return f"DIFFERS: {n_a} lines in this tree, {n_b} in the other"
+    return f"DIFFERS from line {first}, in {n_diff} of {n_a} lines"
+
+
 def compare(a: Path, b: Path) -> list[tuple[str, str]]:
     """(file name, verdict) for every file either directory holds."""
     names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
@@ -41,7 +58,8 @@ def compare(a: Path, b: Path) -> list[tuple[str, str]]:
         if not (a / name).exists() or not (b / name).exists():
             verdicts.append((name, "missing in " + ("this tree" if not (a / name).exists() else "the other tree")))
         else:
-            verdicts.append((name, "identical" if filecmp.cmp(a / name, b / name, shallow=False) else "DIFFERS"))
+            same = filecmp.cmp(a / name, b / name, shallow=False)
+            verdicts.append((name, "identical" if same else where_differs(a / name, b / name)))
     return verdicts
 
 

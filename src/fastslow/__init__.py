@@ -14,10 +14,6 @@ from .policy import (
     StepRecord,
     decision_threshold,
     evaluate_stream,
-    policy_fast,
-    policy_oracle,
-    policy_random,
-    policy_slow,
     run_episode,
     score_episode,
     select_generic,

@@ -15,6 +15,9 @@ from .seeding import rng_for
 
 MULTIPLICATIVE = "multiplicative"
 TAIL = "tail"
+# Inputs [b * CORRUPTION_BLOCK, (b + 1) * CORRUPTION_BLOCK) share the keyed
+# corruption stream rng_for(corruption_seed, b). The value keys outputs.
+CORRUPTION_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,8 @@ class ProxyPair:
     with sum_k |C_ik| = 1 so outputs stay inside [center - spread, center + spread],
     strictly positive. The fast companion corrupts the slow output; the branch
     and the perturbation are a pure function of (corruption_seed, input index),
-    so replays are exact and evaluation is safe to share across threads.
+    drawn from one keyed stream per block of CORRUPTION_BLOCK inputs, so any
+    slice replays exactly and evaluation is safe to share across threads.
     """
 
     feature_weights: np.ndarray  # (K, n)
@@ -74,15 +78,25 @@ class ProxyPair:
 
     def _corrupt(self, y_slow: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
         """Fast outputs of the (T, m) slow outputs of inputs first, first + 1, ...
-        and which took the tail branch; input i draws from rng_for(corruption_seed, i)."""
-        eps, delta = self.bound.epsilon, self.bound.delta
-        draws = np.empty_like(y_slow)
-        tail = np.empty(len(y_slow), dtype=bool)
-        for j in range(len(y_slow)):
-            rng = rng_for(self.corruption_seed, first + j)
-            tail[j] = rng.random() < delta
-            lo, hi = (-self.tail_half_width, self.tail_half_width) if tail[j] else (1.0 - eps, 1.0 + eps)
-            draws[j] = rng.uniform(lo, hi, size=y_slow.shape[1])
+        and which took the tail branch. Input i is row i % B of block b = i // B
+        (B = CORRUPTION_BLOCK): rng_for(corruption_seed, b) draws B coins, then
+        (B, m) uniforms u, and row i takes the tail branch iff its coin is below
+        delta and draws lo + (hi - lo) * u in its branch's band [lo, hi)."""
+        eps, delta, h = self.bound.epsilon, self.bound.delta, self.tail_half_width
+        rows, m = y_slow.shape
+        coins, u = np.empty(rows), np.empty((rows, m))
+        done = 0
+        while done < rows:
+            block, offset = divmod(first + done, CORRUPTION_BLOCK)
+            rng = rng_for(self.corruption_seed, block)
+            take = min(CORRUPTION_BLOCK - offset, rows - done)
+            coins[done : done + take] = rng.random(CORRUPTION_BLOCK)[offset : offset + take]
+            u[done : done + take] = rng.random((CORRUPTION_BLOCK, m))[offset : offset + take]
+            done += take
+        tail = coins < delta
+        lo = np.where(tail, -h, 1.0 - eps)[:, None]
+        hi = np.where(tail, h, 1.0 + eps)[:, None]
+        draws = lo + (hi - lo) * u
         return np.where(tail[:, None], y_slow + draws, draws * y_slow), tail
 
     def fast_with_branch(self, x: np.ndarray, index: int) -> tuple[np.ndarray, str]:

@@ -139,32 +139,6 @@ def select_generic(expected_gain: float, threshold: float) -> Action:
     return Action.INVOKE_SLOW if threshold < expected_gain else Action.USE_FAST
 
 
-def policy_fast() -> Action:
-    return Action.USE_FAST
-
-
-def policy_slow() -> Action:
-    return Action.INVOKE_SLOW
-
-
-def policy_random(rng: np.random.Generator) -> Action:
-    """Fair coin between the two models."""
-    return Action(int(rng.integers(0, 2)))
-
-
-def policy_oracle(loss_fast: float, loss_slow: float, weights: RewardWeights, costs: CostSchedule) -> Action:
-    """Privileged benchmark: sees both realized losses before deciding.
-
-    Offloads iff the slow-model reward strictly beats the fast-model reward,
-    which is alpha * (loss_fast - loss_slow) > beta * c_slow for finite
-    losses. Comparing rewards directly keeps infinite losses well defined
-    (both infinite -> tie -> keep the cheap model).
-    """
-    r_slow = step_reward(Action.INVOKE_SLOW, loss_slow, weights, costs)
-    r_fast = step_reward(Action.USE_FAST, loss_fast, weights, costs)
-    return Action.INVOKE_SLOW if r_slow > r_fast else Action.USE_FAST
-
-
 @dataclass(frozen=True, eq=False)
 class EvaluatedStream:
     """An input stream scored once: per input the selector's bound, computed
@@ -232,13 +206,15 @@ class RandomPolicy:
         self._rng = np.random.default_rng(seed)
 
     def decide(self, stream: EvaluatedStream, weights: RewardWeights, costs: CostSchedule):
-        # T draws at once give the same coins as T calls of policy_random.
+        # T draws at once give the same coins as T one-step rng.integers(0, 2) draws.
         return self._rng.integers(0, 2, size=len(stream)), np.zeros(len(stream))
 
 
 class OraclePolicy:
-    """policy_oracle on every step: it compares the losses it may not see. The
-    figure it logs is the loss that offloading saves, 0 where it saves none."""
+    """Privileged benchmark: offloads where the slow reward strictly beats the
+    fast one, comparing the losses it may not see; both infinite is a tie, which
+    keeps the fast model. The figure it logs is the loss that offloading saves,
+    0 where it saves none."""
 
     name = "oracle"
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastslow.dnnproxy import (
+    CORRUPTION_BLOCK,
     MULTIPLICATIVE,
     TAIL,
     ProbabilisticBound,
@@ -141,11 +144,36 @@ def test_slow_outputs_strictly_positive_and_bounded():
 def test_fast_output_keyed_by_index_replays():
     pair = _pair(seed=17, delta=0.5)
     x = np.array([0.1, -0.4, 0.8, 0.2])
-    y1, b1 = pair.fast_with_branch(x, 42)
-    y2, b2 = pair.fast_with_branch(x, 42)
-    assert np.array_equal(y1, y2) and b1 == b2
-    y3, _ = pair.fast_with_branch(x, 43)
-    assert not np.array_equal(y1, y3)
+    far = 3 * CORRUPTION_BLOCK + 42  # an index in another block
+    for index in (42, far):
+        y1, b1 = pair.fast_with_branch(x, index)
+        y2, b2 = pair.fast_with_branch(x, index)
+        assert np.array_equal(y1, y2) and b1 == b2
+    for a, b in ((42, 43), (42, far)):
+        assert not np.array_equal(pair.fast_with_branch(x, a)[0], pair.fast_with_branch(x, b)[0])
+
+
+_STREAM_PAIR = _pair(seed=19, m=3, delta=0.5)
+_STREAM = _inputs(3 * CORRUPTION_BLOCK, 4, seed=20)
+_STREAM_FAST, _STREAM_TAIL = _STREAM_PAIR._corrupt(_STREAM_PAIR.slow_output(_STREAM), 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    i=st.integers(0, 3 * CORRUPTION_BLOCK),
+    length=st.one_of(st.integers(0, 8), st.integers(0, 2 * CORRUPTION_BLOCK + 8)),
+    data=st.data(),
+)
+def test_any_slice_replays_the_full_stream(i, length, data):
+    """Slices that cross a block boundary or start past block 0 take the
+    full stream's rows, and a single input takes its row and its branch."""
+    j = min(i + length, len(_STREAM))
+    assert np.array_equal(_STREAM_PAIR.fast_output(_STREAM[i:j], i), _STREAM_FAST[i:j])
+    if i < j:
+        k = data.draw(st.integers(i, j - 1))
+        y, branch = _STREAM_PAIR.fast_with_branch(_STREAM[k], k)
+        assert np.array_equal(y, _STREAM_FAST[k])
+        assert branch == (TAIL if _STREAM_TAIL[k] else MULTIPLICATIVE)
 
 
 def test_select_dnn_taxi_constants_force_offload():

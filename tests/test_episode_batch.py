@@ -31,14 +31,13 @@ from fastslow.policy import (
     StepRecord,
     decision_threshold,
     evaluate_stream,
-    policy_oracle,
-    policy_random,
     run_episode,
     select_generic,
     step_cost,
     step_reward,
 )
 from fastslow.seeding import rng_for
+from reference_policies import policy_oracle, policy_random
 
 
 def _same(a, b):
@@ -114,15 +113,19 @@ def _dnn_case(rng, T):
         assert list(map(_same, pair.slow_output(x), y)) == [True] * len(y)
         return y
 
+    first = int(rng.integers(0, 3 * 1024))  # the stream may start past block 0
+
     def fast_one(x, t):
         y_slow = slow_one(x)
-        draw = rng_for(pair.corruption_seed, t)
-        eps, h = bound.epsilon, pair.tail_half_width
-        if draw.random() < bound.delta:
-            y = y_slow + draw.uniform(-h, h, size=y_slow.shape)
-        else:
-            y = draw.uniform(1.0 - eps, 1.0 + eps, size=y_slow.shape) * y_slow
-        shared = pair.fast_with_branch(x, t)[0]  # the scalar method shares the batch helper
+        block, offset = divmod(first + t, 1024)  # one keyed stream per block of 1,024 inputs
+        draw = rng_for(pair.corruption_seed, block)
+        coin = draw.random(1024)[offset]  # the block's coins come before its uniforms
+        u = draw.random((1024, len(y_slow)))[offset]
+        eps, h, tail = bound.epsilon, pair.tail_half_width, coin < bound.delta
+        lo, hi = (-h, h) if tail else (1.0 - eps, 1.0 + eps)
+        d = lo + (hi - lo) * u
+        y = y_slow + d if tail else d * y_slow
+        shared = pair.fast_with_branch(x, first + t)[0]  # the scalar method shares the batch helper
         assert list(map(repr, shared.tolist())) == list(map(repr, y.tolist()))
         return y
 
@@ -132,7 +135,7 @@ def _dnn_case(rng, T):
         assert _same(expected_loss_bound_dnn(y, bound), value)
         return value
 
-    batch = (xs, partial(pair.fast_output, index=0), pair.slow_output, partial(expected_loss_bound_dnn, bound=bound))
+    batch = (xs, partial(pair.fast_output, index=first), pair.slow_output, partial(expected_loss_bound_dnn, bound=bound))
     return batch, (fast_one, slow_one, bound_one)
 
 

@@ -13,7 +13,8 @@ from fastslow.linreg import (
     loss_l2,
     select_lr,
 )
-from fastslow.policy import Action, CostSchedule, RewardWeights, bound_scale, evaluate_stream, policy_oracle
+from fastslow.policy import Action, CostSchedule, RewardWeights, bound_scale, evaluate_stream
+from reference_policies import policy_oracle
 
 W = RewardWeights(1.0, 0.003)
 C = CostSchedule(1.0, 2.5)

@@ -15,16 +15,13 @@ from fastslow.policy import (
     SlowOnlyPolicy,
     decision_threshold,
     evaluate_stream,
-    policy_fast,
-    policy_oracle,
-    policy_random,
-    policy_slow,
     run_episode,
     select_generic,
     step_cost,
     step_reward,
     summarize,
 )
+from reference_policies import policy_fast, policy_oracle, policy_random, policy_slow
 
 W = RewardWeights(1.0, 0.003)
 C = CostSchedule(1.0, 2.5)

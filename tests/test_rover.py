@@ -16,7 +16,6 @@ from fastslow.policy import (
     RewardWeights,
     SlowOnlyPolicy,
     StepRecord,
-    policy_oracle,
     step_cost,
     step_reward,
     summarize,
@@ -46,6 +45,7 @@ from fastslow.rover import (
 )
 from fastslow.seeding import FAST_TAG, SLOW_TAG, rng_for
 from fastslow.spline import cubic_spline_plan
+from reference_policies import policy_oracle
 
 P = RoverParams(wheelbase=1.0, dt=0.1, v_max=2.0, steer_max=1.0, accel_max=1.0)
 
